@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except CareNetsError as exc:
+    except (CareNetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

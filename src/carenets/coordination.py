@@ -25,7 +25,7 @@ import numpy as np
 
 from . import health
 from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                       TrajectoryPoint, step)
+                       TrajectoryPoint, completion_key, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      InfeasibleCareActionError, NotEnabledError,
                      SimulationError, ValidationError)
@@ -216,8 +216,10 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     the induced health event of the engaged individual, whose completion
     follows after the event's own duration. Scheduled stochastic health
     events fire on their own. Completions apply before starts at the same
-    instant; remaining ties follow schedule order. In sample mode, branch
-    outcomes are drawn from a generator seeded once for the whole run.
+    instant, except that a zero-duration delivery completion directly
+    follows its own start (see :func:`delivery.completion_key`); remaining
+    ties follow schedule order. In sample mode, branch outcomes are drawn
+    from a generator seeded once for the whole run.
     """
     if mode not in ("replay", "sample"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -241,26 +243,26 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     heap: list[tuple] = []
     seq = 0
 
-    def push(time, kind, payload):
+    def push(time, order, payload):
         nonlocal seq
-        heapq.heappush(heap, (float(time), kind.order, seq, payload))
+        heapq.heappush(heap, (float(time), order, seq, payload))
         seq += 1
 
     for action in delivery_actions:
         if action.individual not in col:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
-        push(action.time, FiringKind.START, (_DELIVERY, FiringKind.START,
-                                             action))
-        done = action.time + float(net.durations[action.psi])
-        push(done, FiringKind.COMPLETE, (_DELIVERY, FiringKind.COMPLETE,
-                                         action.psi, action.individual))
+        push(action.time, FiringKind.START.order,
+             (_DELIVERY, FiringKind.START, action))
+        done, order = completion_key(action.time, net.durations[action.psi])
+        push(done, order, (_DELIVERY, FiringKind.COMPLETE, action.psi,
+                           action.individual))
     for action in health_actions:
         if action.individual not in col:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
-        push(action.time, FiringKind.START, (_HEALTH, FiringKind.START,
-                                             action))
+        push(action.time, FiringKind.START.order,
+             (_HEALTH, FiringKind.START, action))
 
     marking = initial
     completions = np.zeros(net.n_transitions, dtype=int)
@@ -284,7 +286,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         column, realized = health.resolve_output(
             ind.net, event, outcome=outcome, rng=rng)
         done = time + ind.net.events[event].duration
-        push(done, FiringKind.COMPLETE,
+        push(done, FiringKind.COMPLETE.order,
              (_HEALTH, FiringKind.COMPLETE, ind_id, event, column,
               magnitude))
         result.trace.append(TraceRow(time, f"health:{ind_id}",

@@ -37,6 +37,16 @@ class FiringKind(Enum):
         return 0 if self is FiringKind.COMPLETE else 1
 
 
+def completion_key(start: float, duration: float) -> tuple[float, int]:
+    """Time and tie-break order of the completion of a firing started at
+    ``start``. A zero-duration completion takes the order of a start, so
+    that among events sharing its instant it slots directly after its own
+    start instead of jumping ahead of it with the other completions."""
+    done = float(start) + float(duration)
+    kind = FiringKind.START if done == start else FiringKind.COMPLETE
+    return done, kind.order
+
+
 def _origin_template(model: StructuralModel, buffer: int) -> BoolMatrix:
     """Template marking every capability that consumes from ``buffer``:
     all non-transport processes at the buffer's own column, plus every
@@ -262,14 +272,9 @@ def build_schedule(starts: Iterable[tuple[float, int]],
             raise ValidationError(f"transition index {psi} out of range")
         records.append((float(time), FiringKind.START.order, seq, 0,
                         FiringRecord(psi, FiringKind.START, float(time))))
-        done = float(time) + float(net.durations[psi])
-        if done == time:
-            # Zero duration: the completion slots directly after its own
-            # start instead of jumping ahead of it with the completions.
-            key = (done, FiringKind.START.order, seq, 1)
-        else:
-            key = (done, FiringKind.COMPLETE.order, seq, 0)
-        records.append(key + (FiringRecord(psi, FiringKind.COMPLETE, done),))
+        done, order = completion_key(time, net.durations[psi])
+        records.append((done, order, seq, 1,
+                        FiringRecord(psi, FiringKind.COMPLETE, done)))
     records.sort(key=lambda r: r[:4])
     return [r[4] for r in records]
 

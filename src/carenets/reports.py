@@ -8,7 +8,6 @@ scenario, flags, and seed; nothing time-of-day dependent is written.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -124,30 +123,33 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
                     out_dir: str | Path, runs: int = 1) -> Path:
     """Run a scenario and write its report files under ``out_dir``.
 
-    With ``runs`` greater than one, independent seeded runs execute in
-    parallel, each writing into its own subdirectory, and their summary
-    statistics merge into a top-level runs table. Partial outputs are
-    removed if any run fails.
+    With ``runs`` greater than one, independent runs seeded ``seed``,
+    ``seed + 1``, ... execute one after another, each writing into its own
+    subdirectory, and their summary statistics merge into a top-level runs
+    table. If a run or a write fails, the report files written so far are
+    removed, and so is every directory that did not exist before.
     """
     out_dir = Path(out_dir)
     compiled = compile_scenario(doc)
-    written: list[Path] = []
+    touched: list[tuple[Path, bool]] = []
+
+    def claim(directory: Path) -> Path:
+        touched.append((directory, directory.is_dir()))
+        return directory
+
     try:
         if runs <= 1:
             result = compiled.run(mode=mode, seed=seed)
-            files = write_run(out_dir, compiled, result, mode, seed)
+            write_run(claim(out_dir), compiled, result, mode, seed)
             return out_dir
 
-        def one(k: int):
-            return compiled.run(mode=mode, seed=seed + k)
-
-        with ThreadPoolExecutor(max_workers=min(runs, 8)) as pool:
-            results = list(pool.map(one, range(runs)))
+        results = [compiled.run(mode=mode, seed=seed + k)
+                   for k in range(runs)]
+        claim(out_dir)
         rows = []
         for k, result in enumerate(results):
-            run_dir = out_dir / f"run_{k:03d}"
-            write_run(run_dir, compiled, result, mode, seed + k)
-            written.append(run_dir)
+            write_run(claim(out_dir / f"run_{k:03d}"), compiled, result,
+                      mode, seed + k)
             outcomes = final_outcome_by_individual(result)
             rows.append((k, seed + k, result.cost_series[-1][1], outcomes))
 
@@ -180,22 +182,23 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
         (out_dir / "summary.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
         return out_dir
-    except CareNetsError:
-        _cleanup(out_dir, written)
+    except (CareNetsError, OSError):
+        _cleanup(touched)
         raise
 
 
-def _cleanup(out_dir: Path, run_dirs: list[Path]) -> None:
+def _cleanup(touched: list[tuple[Path, bool]]) -> None:
+    """Remove the report files from each (directory, existed before the
+    run) pair, innermost first, and each directory the run created."""
     names = ["trace.csv", "delivery.csv", "outcomes.csv", "summary.txt",
              "runs.csv"]
-    for directory in run_dirs + [out_dir]:
+    for directory, existed in reversed(touched):
         if not directory.is_dir():
             continue
         for name in names:
-            target = directory / name
-            if target.exists():
-                target.unlink()
-        try:
-            directory.rmdir()
-        except OSError:
-            pass
+            (directory / name).unlink(missing_ok=True)
+        if not existed:
+            try:
+                directory.rmdir()
+            except OSError:
+                pass

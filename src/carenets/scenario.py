@@ -8,16 +8,18 @@ structural facts (durations, costs, state values, branch weights not
 fixed by the case) live together in a clearly marked ``assumed_values``
 section.
 
-Loading validates everything it can and reports every failure found, not
-just the first one.
+Loading checks the parsed JSON against one declarative schema
+(:data:`SCHEMA`), then compiles the normalized data, and reports every
+failure found, not just the first one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -67,523 +69,234 @@ class _Collector:
 
 
 # ---------------------------------------------------------------------------
-# Document model
+# Schema
 # ---------------------------------------------------------------------------
+#
+# A schema node is one of:
+#   - a scalar name from _SCALARS, or "weights" / "branches" for what a
+#     health event consumes / produces (see _weights);
+#   - a set of strings, one of which the value must be;
+#   - [node]: a list whose items match node;
+#   - {"*": node}: an object mapping any name to a value matching node;
+#   - {key: node, ...}: an object with exactly these keys, where "key?"
+#     marks an optional key and "$any_of" lists keys of which at least one
+#     must appear (compile says which wins when several do);
+#   - (key, node_a, node_b): node_a for an object holding key, else node_b.
+
+_CLASS_NAMES = {c.value: c for c in ResourceClass}
+_CLASSES = set(_CLASS_NAMES)
+_ENTRY = {"time": "time", "individual": "string", "outcome?": "string",
+          "note?": "string"}
+
+SCHEMA = {
+    "schema_version": "count",
+    "name": "string",
+    "title?": "string",
+    "notes?": ["string"],
+    "resources?": [{"name": "string", "class": _CLASSES,
+                    "human?": "boolean", "note?": "string"}],
+    "processes?": [{"name": "string", "class": _CLASSES,
+                    "origin?": "string", "destination?": "string",
+                    "note?": "string"}],
+    "knowledge_base?": ["pair"],
+    "constraints?": ["pair"],
+    "chronic_abstraction?": "boolean",
+    "clinic_buffers?": ["string"],
+    "aggregation?": [{"name": "string", "members": ["string"]}],
+    "initial_tokens?": {"*": "count"},
+    "transition_capacities?": {"*": "count"},
+    "individuals?": [{
+        "id": "string",
+        "health_states": ["string"],
+        "health_events?": [{
+            "name": "string", "kind": {k.value for k in HealthEventKind},
+            "consumes": "weights", "produces": "branches",
+            "realized_by?": ["string"], "note?": "string"}],
+        "initial_state?": "string",
+        "initial_marking?": {"*": "number"},
+        "$any_of": ("initial_state", "initial_marking"),
+        "note?": "string"}],
+    "schedule?": [(
+        "process",
+        {**_ENTRY, "process": "string", "resource": "string"},
+        {**_ENTRY, "event?": "string", "event_group?": "names",
+         "$any_of": ("event", "event_group"), "optional?": "boolean"})],
+    "assumed_values?": {
+        "note?": "string",
+        "durations?": {"*": "number"},
+        "costs?": {"*": "number"},
+        "health_state_values?": {"*": {"*": "number"}},
+        "health_event_weights?": {"*": {"*": {"*": "number"}}},
+        "health_event_durations?": {"*": {"*": "number"}},
+    },
+}
+
+
+_BAD = object()
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return _BAD
+    try:
+        value = float(value)
+    except OverflowError:
+        return _BAD
+    return value if math.isfinite(value) else _BAD
+
+
+def _time(value):
+    value = _number(value)
+    return _BAD if value is _BAD or value < 0 else value
+
+
+def _count(value):
+    whole = isinstance(value, int) and not isinstance(value, bool)
+    return value if whole and -2 ** 63 <= value < 2 ** 63 else _BAD
+
+
+def _names(value, size=None):
+    ok = (isinstance(value, list) and value
+          and all(isinstance(x, str) for x in value)
+          and size in (None, len(value)))
+    return value if ok else _BAD
+
+
+#: Scalar name -> (normalize a value or return _BAD, what a valid one is).
+_SCALARS = {
+    "string": (lambda v: v if isinstance(v, str) else _BAD, "a string"),
+    "boolean": (lambda v: v if isinstance(v, bool) else _BAD,
+                "true or false"),
+    "count": (_count, "a whole number"),
+    "number": (_number, "a finite number"),
+    "time": (_time, "a finite number >= 0"),
+    "pair": (lambda v: _names(v, size=2), "a [process, resource] pair"),
+    "names": (_names, "a nonempty list of names"),
+}
+
 
 @dataclass(frozen=True)
-class ResourceSpec:
-    name: str
-    cls: str
-    human: bool = False
-    note: str | None = None
+class _Object:
+    fields: dict[str, tuple[Any, bool]]      # key -> (node, required)
+    any_of: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    name: str
-    cls: str
-    origin: str | None = None
-    destination: str | None = None
-    note: str | None = None
+def _prepare(node):
+    """Turn the literal schema into walker nodes, once, at import."""
+    if isinstance(node, list):
+        return [_prepare(node[0])]
+    if isinstance(node, tuple):
+        key, with_key, without = node
+        return key, _prepare(with_key), _prepare(without)
+    if isinstance(node, dict) and "*" in node:
+        return {"*": _prepare(node["*"])}
+    if isinstance(node, dict):
+        return _Object({key.rstrip("?"): (_prepare(sub), key[-1] != "?")
+                        for key, sub in node.items() if key != "$any_of"},
+                       node.get("$any_of", ()))
+    return node
 
 
-@dataclass(frozen=True)
-class AggregateSpec:
-    name: str
-    members: tuple[str, ...]
+_ROOT = _prepare(SCHEMA)
 
 
-@dataclass(frozen=True)
-class HealthEventSpec:
-    name: str
-    kind: str
-    consumes: tuple[tuple[str, float], ...]
-    produces: tuple[tuple[str, float | None], ...]
-    equal_outcomes: bool = False
-    realized_by: tuple[str, ...] = ()
-    note: str | None = None
+def _shown(value) -> str:
+    """How a rejected JSON value is named in a failure message."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    return repr(value)
 
 
-@dataclass(frozen=True)
-class IndividualSpec:
-    id: str
-    states: tuple[str, ...]
-    events: tuple[HealthEventSpec, ...]
-    initial: tuple[tuple[str, float], ...]
-    note: str | None = None
+def _weights(value, where: str, col: _Collector, deferred: bool):
+    """Normalize what a health event consumes or produces to a mapping of
+    state to weight: a state name weighs one, a list of states splits
+    equally over the branches, and a mapping gives each weight. With
+    ``deferred``, a null weight defers to the assumed-values section."""
+    if isinstance(value, str):
+        return {value: 1.0}
+    if isinstance(value, list):
+        if _names(value) is _BAD:
+            col.add("schema", f"{where}: branch list must name states")
+            return None
+        return dict.fromkeys(value, 1.0 / len(value))
+    if isinstance(value, dict):
+        return {state: None if weight is None and deferred
+                else _walk("number", weight, f"{where}.{state}", col)
+                for state, weight in value.items()}
+    col.add("schema", f"{where}: expected a state, a list of states, or a "
+                      f"mapping, got {_shown(value)}")
+    return None
 
 
-@dataclass(frozen=True)
-class ScheduleEntrySpec:
-    time: float
-    individual: str
-    process: str | None = None
-    resource: str | None = None
-    events: tuple[str, ...] = ()
-    outcome: str | None = None
-    optional: bool = False
-    note: str | None = None
+def _walk(node, value, where: str, col: _Collector):
+    """Check ``value`` against schema ``node`` and return it normalized.
 
-    @property
-    def is_delivery(self) -> bool:
-        return self.process is not None
+    Every failure goes to ``col`` under check ``schema``; the returned
+    value is only meaningful when none was added.
+    """
+    if isinstance(node, str):
+        if node in ("weights", "branches"):
+            return _weights(value, where, col, deferred=node == "branches")
+        normalize, expected = _SCALARS[node]
+        out = normalize(value)
+        if out is _BAD:
+            col.add("schema", f"{where}: expected {expected}, got "
+                              f"{_shown(value)}")
+        return out
+    if isinstance(node, set):
+        if not (isinstance(value, str) and value in node):
+            col.add("schema", f"{where}: expected one of {sorted(node)}, "
+                              f"got {_shown(value)}")
+        return value
+    if isinstance(node, list):
+        if not isinstance(value, list):
+            col.add("schema", f"{where}: expected a list, got "
+                              f"{_shown(value)}")
+            return None
+        return [_walk(node[0], item, f"{where}[{i}]", col)
+                for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        col.add("schema", f"{where or 'document'}: expected an object, got "
+                          f"{_shown(value)}")
+        return None
+    if isinstance(node, tuple):
+        key, with_key, without = node
+        node = with_key if key in value else without
+    if not isinstance(node, _Object):
+        return {key: _walk(node["*"], item, f"{where}.{key}", col)
+                for key, item in value.items()}
 
-
-@dataclass(frozen=True)
-class AssumedValues:
-    durations: tuple[tuple[str, float], ...] = ()
-    costs: tuple[tuple[str, float], ...] = ()
-    health_state_values: tuple[tuple[str, tuple[tuple[str, float], ...]], ...] = ()
-    health_event_weights: tuple[
-        tuple[str, tuple[tuple[str, tuple[tuple[str, float], ...]], ...]], ...] = ()
-    health_event_durations: tuple[
-        tuple[str, tuple[tuple[str, float], ...]], ...] = ()
-    note: str | None = None
-
-    def duration_map(self) -> dict[str, float]:
-        return dict(self.durations)
-
-    def cost_map(self) -> dict[str, float]:
-        return dict(self.costs)
-
-    def state_values(self, individual: str) -> dict[str, float]:
-        return dict(dict(self.health_state_values).get(individual, ()))
-
-    def event_weights(self, individual: str,
-                      event: str) -> dict[str, float]:
-        per = dict(dict(self.health_event_weights).get(individual, ()))
-        return dict(per.get(event, ()))
-
-    def event_durations(self, individual: str) -> dict[str, float]:
-        return dict(dict(self.health_event_durations).get(individual, ()))
+    out = {}
+    for key, (sub, required) in node.fields.items():
+        if key in value:
+            out[key] = _walk(sub, value[key],
+                             f"{where}.{key}" if where else key, col)
+        elif required:
+            col.add("schema", f"{where or 'document'}: missing required key "
+                              f"{key!r}")
+    unknown = [key for key in value if key not in node.fields]
+    if unknown:
+        col.add("schema", f"{where or 'document'}: unknown keys "
+                          f"{sorted(unknown)}")
+    if node.any_of and not any(key in value for key in node.any_of):
+        col.add("schema", f"{where}: needs one of {list(node.any_of)}")
+    return out
 
 
 @dataclass(frozen=True)
 class ScenarioDocument:
-    schema_version: int
-    name: str
-    title: str | None
-    notes: tuple[str, ...]
-    resources: tuple[ResourceSpec, ...]
-    processes: tuple[ProcessSpec, ...]
-    knowledge: tuple[tuple[str, str], ...]
-    constraints: tuple[tuple[str, str], ...]
-    chronic_abstraction: bool
-    clinic_buffers: tuple[str, ...] | None
-    aggregation: tuple[AggregateSpec, ...] | None
-    initial_tokens: tuple[tuple[str, int], ...]
-    capacities: tuple[tuple[str, int], ...]
-    individuals: tuple[IndividualSpec, ...]
-    schedule: tuple[ScheduleEntrySpec, ...]
-    assumed: AssumedValues
+    """A scenario that passed the schema, as normalized JSON data: every
+    number a float except counts, and consumes/produces as mappings."""
 
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize back to the JSON document shape."""
-        def drop_none(d):
-            return {k: v for k, v in d.items() if v not in (None, (), [])}
+    data: dict[str, Any]
 
-        doc: dict[str, Any] = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-        }
-        if self.title:
-            doc["title"] = self.title
-        if self.notes:
-            doc["notes"] = list(self.notes)
-        doc["resources"] = [
-            drop_none({"name": r.name, "class": r.cls, "human": r.human or None,
-                       "note": r.note})
-            for r in self.resources]
-        doc["processes"] = [
-            drop_none({"name": p.name, "class": p.cls, "origin": p.origin,
-                       "destination": p.destination, "note": p.note})
-            for p in self.processes]
-        doc["knowledge_base"] = [list(pair) for pair in self.knowledge]
-        if self.constraints:
-            doc["constraints"] = [list(pair) for pair in self.constraints]
-        if self.chronic_abstraction:
-            doc["chronic_abstraction"] = True
-        if self.clinic_buffers is not None:
-            doc["clinic_buffers"] = list(self.clinic_buffers)
-        if self.aggregation is not None:
-            doc["aggregation"] = [
-                {"name": a.name, "members": list(a.members)}
-                for a in self.aggregation]
-        doc["initial_tokens"] = dict(self.initial_tokens)
-        if self.capacities:
-            doc["transition_capacities"] = dict(self.capacities)
-        doc["individuals"] = []
-        for ind in self.individuals:
-            events = []
-            for ev in ind.events:
-                entry = drop_none({
-                    "name": ev.name, "kind": ev.kind,
-                    "realized_by": list(ev.realized_by) or None,
-                    "note": ev.note})
-                entry["consumes"] = dict(ev.consumes)
-                if ev.equal_outcomes:
-                    entry["produces"] = [s for s, _ in ev.produces]
-                else:
-                    entry["produces"] = dict(ev.produces)
-                events.append(entry)
-            doc["individuals"].append(drop_none({
-                "id": ind.id,
-                "health_states": list(ind.states),
-                "health_events": events,
-                "initial_marking": dict(ind.initial),
-                "note": ind.note}))
-        doc["schedule"] = []
-        for entry in self.schedule:
-            raw = drop_none({"time": entry.time,
-                             "individual": entry.individual,
-                             "process": entry.process,
-                             "resource": entry.resource,
-                             "outcome": entry.outcome,
-                             "note": entry.note})
-            if entry.events:
-                if len(entry.events) == 1 and not entry.optional:
-                    raw["event"] = entry.events[0]
-                else:
-                    raw["event_group"] = list(entry.events)
-            if entry.optional:
-                raw["optional"] = True
-            doc["schedule"].append(raw)
-        assumed: dict[str, Any] = {}
-        if self.assumed.note:
-            assumed["note"] = self.assumed.note
-        if self.assumed.durations:
-            assumed["durations"] = dict(self.assumed.durations)
-        if self.assumed.costs:
-            assumed["costs"] = dict(self.assumed.costs)
-        if self.assumed.health_state_values:
-            assumed["health_state_values"] = {
-                ind: dict(vals)
-                for ind, vals in self.assumed.health_state_values}
-        if self.assumed.health_event_weights:
-            assumed["health_event_weights"] = {
-                ind: {ev: dict(ws) for ev, ws in evs}
-                for ind, evs in self.assumed.health_event_weights}
-        if self.assumed.health_event_durations:
-            assumed["health_event_durations"] = {
-                ind: dict(vals)
-                for ind, vals in self.assumed.health_event_durations}
-        doc["assumed_values"] = assumed
-        return doc
-
-
-# ---------------------------------------------------------------------------
-# JSON -> document
-# ---------------------------------------------------------------------------
-
-_CLASS_NAMES = {c.value: c for c in ResourceClass}
-
-
-def _typed(raw: Mapping, key: str, types, where: str, col: _Collector,
-           default=None, required: bool = False):
-    if key not in raw:
-        if required:
-            col.add("schema", f"{where}: missing required key {key!r}")
-        return default
-    value = raw[key]
-    if not isinstance(value, types):
-        col.add("schema", f"{where}: key {key!r} has unexpected type "
-                          f"{type(value).__name__}")
-        return default
-    return value
-
-
-def _check_keys(raw: Mapping, allowed: set[str], where: str,
-                col: _Collector) -> None:
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        col.add("schema", f"{where}: unknown keys {unknown}")
-
-
-def _weight_map(raw, where: str, col: _Collector,
-                allow_none: bool = False):
-    """Normalize a consumes/produces declaration.
-
-    Accepts a state name (weight one), a list of state names (an equal
-    split over the branches), or a mapping of state to weight where a
-    null weight defers to the assumed-values section.
-    """
-    if isinstance(raw, str):
-        return ((raw, 1.0),), False
-    if isinstance(raw, list):
-        if not raw or not all(isinstance(s, str) for s in raw):
-            col.add("schema", f"{where}: branch list must name states")
-            return (), False
-        share = 1.0 / len(raw)
-        return tuple((s, share) for s in raw), True
-    if isinstance(raw, dict):
-        out = []
-        for state, weight in raw.items():
-            if weight is None and allow_none:
-                out.append((state, None))
-            elif isinstance(weight, (int, float)):
-                out.append((state, float(weight)))
-            else:
-                col.add("schema", f"{where}: weight for {state!r} must be "
-                                  f"a number")
-        return tuple(out), False
-    col.add("schema", f"{where}: expected a state, list, or mapping")
-    return (), False
-
-
-def _load_event(raw: Mapping, where: str, col: _Collector) -> HealthEventSpec:
-    _check_keys(raw, {"name", "kind", "consumes", "produces", "realized_by",
-                      "note"}, where, col)
-    name = _typed(raw, "name", str, where, col, default="?", required=True)
-    kind = _typed(raw, "kind", str, where, col, default="stochastic",
-                  required=True)
-    if kind not in ("induced", "stochastic"):
-        col.add("schema", f"{where}: kind must be induced or stochastic")
-        kind = "stochastic"
-    consumes, _ = _weight_map(raw.get("consumes"), f"{where}.consumes", col)
-    produces, equal = _weight_map(raw.get("produces"), f"{where}.produces",
-                                  col, allow_none=True)
-    realized = _typed(raw, "realized_by", list, where, col, default=[]) or []
-    return HealthEventSpec(name=name, kind=kind, consumes=consumes,
-                           produces=produces, equal_outcomes=equal,
-                           realized_by=tuple(realized),
-                           note=_typed(raw, "note", str, where, col))
-
-
-def _load_individual(raw: Mapping, where: str,
-                     col: _Collector) -> IndividualSpec:
-    _check_keys(raw, {"id", "health_states", "health_events",
-                      "initial_state", "initial_marking", "note"},
-                where, col)
-    ind_id = _typed(raw, "id", str, where, col, default="?", required=True)
-    states = tuple(_typed(raw, "health_states", list, where, col,
-                          default=[], required=True) or [])
-    events = tuple(_load_event(ev, f"{where}.health_events[{i}]", col)
-                   for i, ev in enumerate(raw.get("health_events", []))
-                   if isinstance(ev, dict))
-    if "initial_marking" in raw:
-        marking = raw["initial_marking"]
-        initial = tuple((s, float(m)) for s, m in marking.items()) \
-            if isinstance(marking, dict) else ()
-        if not initial:
-            col.add("schema", f"{where}: initial_marking must map states "
-                              f"to masses")
-    elif "initial_state" in raw and isinstance(raw["initial_state"], str):
-        initial = ((raw["initial_state"], 1.0),)
-    else:
-        col.add("schema", f"{where}: needs initial_state or initial_marking")
-        initial = ()
-    return IndividualSpec(id=ind_id, states=states, events=events,
-                          initial=initial,
-                          note=_typed(raw, "note", str, where, col))
-
-
-def _load_schedule_entry(raw: Mapping, where: str,
-                         col: _Collector) -> ScheduleEntrySpec:
-    _check_keys(raw, {"time", "individual", "process", "resource", "event",
-                      "event_group", "outcome", "optional", "note"},
-                where, col)
-    time = _typed(raw, "time", (int, float), where, col, default=0.0,
-                  required=True)
-    individual = _typed(raw, "individual", str, where, col, default="?",
-                        required=True)
-    process = _typed(raw, "process", str, where, col)
-    resource = _typed(raw, "resource", str, where, col)
-    events: tuple[str, ...] = ()
-    if "event" in raw and isinstance(raw["event"], str):
-        events = (raw["event"],)
-    elif "event_group" in raw and isinstance(raw["event_group"], list):
-        events = tuple(raw["event_group"])
-    if process is not None and events:
-        col.add("schema", f"{where}: entry cannot be both a delivery and "
-                          f"a health event")
-    if process is None and not events:
-        col.add("schema", f"{where}: entry needs a process or an event")
-    if process is not None and resource is None:
-        col.add("schema", f"{where}: delivery entry needs a resource")
-    return ScheduleEntrySpec(
-        time=float(time), individual=individual, process=process,
-        resource=resource, events=events,
-        outcome=_typed(raw, "outcome", str, where, col),
-        optional=bool(raw.get("optional", False)),
-        note=_typed(raw, "note", str, where, col))
-
-
-def _pairs(raw, where: str, col: _Collector) -> tuple[tuple[str, str], ...]:
-    out = []
-    for i, pair in enumerate(raw or []):
-        if (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
-            out.append((pair[0], pair[1]))
-        else:
-            col.add("schema", f"{where}[{i}]: expected [process, resource]")
-    return tuple(out)
-
-
-def _str_float_items(raw, where: str, col: _Collector):
-    if raw is None:
-        return ()
-    if not isinstance(raw, dict):
-        col.add("schema", f"{where}: expected a mapping")
-        return ()
-    out = []
-    for key, value in raw.items():
-        if isinstance(value, (int, float)):
-            out.append((key, float(value)))
-        else:
-            col.add("schema", f"{where}: value for {key!r} must be a number")
-    return tuple(out)
-
-
-def _load_assumed(raw: Mapping | None, col: _Collector) -> AssumedValues:
-    if raw is None:
-        return AssumedValues()
-    where = "assumed_values"
-    _check_keys(raw, {"note", "durations", "costs", "health_state_values",
-                      "health_event_weights", "health_event_durations"},
-                where, col)
-    nested_values = []
-    for ind, vals in (raw.get("health_state_values") or {}).items():
-        nested_values.append(
-            (ind, _str_float_items(vals, f"{where}.health_state_values."
-                                         f"{ind}", col)))
-    nested_weights = []
-    for ind, events in (raw.get("health_event_weights") or {}).items():
-        per_event = []
-        for ev, ws in (events or {}).items():
-            per_event.append(
-                (ev, _str_float_items(ws, f"{where}.health_event_weights."
-                                          f"{ind}.{ev}", col)))
-        nested_weights.append((ind, tuple(per_event)))
-    nested_durations = []
-    for ind, vals in (raw.get("health_event_durations") or {}).items():
-        nested_durations.append(
-            (ind, _str_float_items(vals, f"{where}.health_event_durations."
-                                         f"{ind}", col)))
-    return AssumedValues(
-        durations=_str_float_items(raw.get("durations"),
-                                   f"{where}.durations", col),
-        costs=_str_float_items(raw.get("costs"), f"{where}.costs", col),
-        health_state_values=tuple(nested_values),
-        health_event_weights=tuple(nested_weights),
-        health_event_durations=tuple(nested_durations),
-        note=_typed(raw, "note", str, where, col))
-
-
-_TOP_KEYS = {"schema_version", "name", "title", "notes", "resources",
-             "processes", "knowledge_base", "constraints",
-             "chronic_abstraction", "clinic_buffers", "aggregation",
-             "initial_tokens", "transition_capacities", "individuals",
-             "schedule", "assumed_values"}
-
-
-def _load_document(data: Any, col: _Collector) -> ScenarioDocument | None:
-    if not isinstance(data, dict):
-        col.add("schema", "top level must be a JSON object")
-        return None
-    _check_keys(data, _TOP_KEYS, "document", col)
-    version = _typed(data, "schema_version", int, "document", col,
-                     required=True)
-    if version is not None and version != SCHEMA_VERSION:
-        col.add("schema", f"unsupported schema_version {version}; this "
-                          f"engine reads version {SCHEMA_VERSION}")
-
-    resources = []
-    for i, raw in enumerate(data.get("resources", [])):
-        where = f"resources[{i}]"
-        if not isinstance(raw, dict):
-            col.add("schema", f"{where}: expected an object")
-            continue
-        _check_keys(raw, {"name", "class", "human", "note"}, where, col)
-        cls = _typed(raw, "class", str, where, col, default="", required=True)
-        if cls not in _CLASS_NAMES:
-            col.add("schema", f"{where}: unknown class {cls!r}")
-        resources.append(ResourceSpec(
-            name=_typed(raw, "name", str, where, col, default=f"?{i}",
-                        required=True),
-            cls=cls, human=bool(raw.get("human", False)),
-            note=_typed(raw, "note", str, where, col)))
-
-    processes = []
-    for i, raw in enumerate(data.get("processes", [])):
-        where = f"processes[{i}]"
-        if not isinstance(raw, dict):
-            col.add("schema", f"{where}: expected an object")
-            continue
-        _check_keys(raw, {"name", "class", "origin", "destination", "note"},
-                    where, col)
-        cls = _typed(raw, "class", str, where, col, default="", required=True)
-        if cls not in _CLASS_NAMES:
-            col.add("schema", f"{where}: unknown class {cls!r}")
-        processes.append(ProcessSpec(
-            name=_typed(raw, "name", str, where, col, default=f"?{i}",
-                        required=True),
-            cls=cls,
-            origin=_typed(raw, "origin", str, where, col),
-            destination=_typed(raw, "destination", str, where, col),
-            note=_typed(raw, "note", str, where, col)))
-
-    aggregation = None
-    if data.get("aggregation") is not None:
-        aggregation = []
-        for i, raw in enumerate(data["aggregation"]):
-            where = f"aggregation[{i}]"
-            if not isinstance(raw, dict):
-                col.add("schema", f"{where}: expected an object")
-                continue
-            _check_keys(raw, {"name", "members"}, where, col)
-            aggregation.append(AggregateSpec(
-                name=_typed(raw, "name", str, where, col, default=f"?{i}",
-                            required=True),
-                members=tuple(_typed(raw, "members", list, where, col,
-                                     default=[], required=True) or [])))
-        aggregation = tuple(aggregation)
-
-    individuals = tuple(
-        _load_individual(raw, f"individuals[{i}]", col)
-        for i, raw in enumerate(data.get("individuals", []))
-        if isinstance(raw, dict))
-    schedule = tuple(
-        _load_schedule_entry(raw, f"schedule[{i}]", col)
-        for i, raw in enumerate(data.get("schedule", []))
-        if isinstance(raw, dict))
-
-    def whole_counts(raw, where):
-        if not isinstance(raw, dict):
-            col.add("schema", f"{where}: expected a mapping")
-            return ()
-        out = []
-        for key, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                col.add("schema", f"{where}: count for {key!r} must be a "
-                                  f"whole number")
-            else:
-                out.append((key, value))
-        return tuple(out)
-
-    tokens = whole_counts(data.get("initial_tokens", {}), "initial_tokens")
-    caps = whole_counts(data.get("transition_capacities", {}),
-                        "transition_capacities")
-
-    clinic = data.get("clinic_buffers")
-    return ScenarioDocument(
-        schema_version=SCHEMA_VERSION,
-        name=_typed(data, "name", str, "document", col, default="scenario",
-                    required=True),
-        title=_typed(data, "title", str, "document", col),
-        notes=tuple(data.get("notes", []) or []),
-        resources=tuple(resources),
-        processes=tuple(processes),
-        knowledge=_pairs(data.get("knowledge_base"), "knowledge_base", col),
-        constraints=_pairs(data.get("constraints"), "constraints", col),
-        chronic_abstraction=bool(data.get("chronic_abstraction", False)),
-        clinic_buffers=tuple(clinic) if clinic is not None else None,
-        aggregation=aggregation,
-        initial_tokens=tokens,
-        capacities=caps,
-        individuals=individuals,
-        schedule=schedule,
-        assumed=_load_assumed(data.get("assumed_values"), col),
-    )
+    @property
+    def name(self) -> str:
+        return self.data["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -607,44 +320,38 @@ class CompiledScenario:
                           self.health_actions, mode=mode, seed=seed)
 
 
-def _build_model(doc: ScenarioDocument,
-                 col: _Collector) -> StructuralModel | None:
-    rank = {name: cls.rank for name, cls in _CLASS_NAMES.items()}
-    res_order = sorted(range(len(doc.resources)),
-                       key=lambda i: (rank.get(doc.resources[i].cls, 9), i))
-    proc_order = sorted(range(len(doc.processes)),
-                        key=lambda i: (rank.get(doc.processes[i].cls, 9), i))
-    resources = []
-    for new_id, i in enumerate(res_order):
-        spec = doc.resources[i]
-        resources.append(Resource(new_id, spec.name,
-                                  _CLASS_NAMES.get(spec.cls,
-                                                   ResourceClass.MEASUREMENT),
-                                  human=spec.human, note=spec.note))
+def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
+    def by_rank(specs):
+        # stable, so declaration order breaks ties within a class
+        return sorted(specs, key=lambda s: _CLASS_NAMES[s["class"]].rank)
+
+    resources = [Resource(i, spec["name"], _CLASS_NAMES[spec["class"]],
+                          human=spec.get("human", False),
+                          note=spec.get("note"))
+                 for i, spec in enumerate(by_rank(data.get("resources", [])))]
     res_index = {r.name: r.id for r in resources}
     buffer_index = {r.name: r.id for r in resources if r.is_buffer}
 
     processes = []
-    for new_id, i in enumerate(proc_order):
-        spec = doc.processes[i]
-        cls = _CLASS_NAMES.get(spec.cls, ResourceClass.MEASUREMENT)
+    for new_id, spec in enumerate(by_rank(data.get("processes", []))):
+        cls = _CLASS_NAMES[spec["class"]]
         origin = destination = None
         if cls is ResourceClass.TRANSPORTATION:
-            for end, label in ((spec.origin, "origin"),
-                               (spec.destination, "destination")):
+            for label in ("origin", "destination"):
+                end = spec.get(label)
                 if end is None:
                     col.add("transport-endpoints",
-                            f"transport process {spec.name!r} has no "
+                            f"transport process {spec['name']!r} has no "
                             f"{label}")
                 elif end not in buffer_index:
                     col.add("cross-references",
-                            f"transport process {spec.name!r} {label} "
+                            f"transport process {spec['name']!r} {label} "
                             f"{end!r} is not a buffer")
-            origin = buffer_index.get(spec.origin)
-            destination = buffer_index.get(spec.destination)
-        processes.append(Process(new_id, spec.name, cls,
+            origin = buffer_index.get(spec.get("origin"))
+            destination = buffer_index.get(spec.get("destination"))
+        processes.append(Process(new_id, spec["name"], cls,
                                  origin=origin, destination=destination,
-                                 note=spec.note))
+                                 note=spec.get("note")))
     proc_index = {p.name: p.id for p in processes}
 
     def resolve(pairs, label):
@@ -660,8 +367,8 @@ def _build_model(doc: ScenarioDocument,
                 resolved.append((proc_index[pname], res_index[rname]))
         return resolved
 
-    knowledge = resolve(doc.knowledge, "knowledge base")
-    constraints = resolve(doc.constraints, "constraints")
+    knowledge = resolve(data.get("knowledge_base", []), "knowledge base")
+    constraints = resolve(data.get("constraints", []), "constraints")
     try:
         model = StructuralModel.build(resources, processes, knowledge,
                                       constraints)
@@ -669,11 +376,11 @@ def _build_model(doc: ScenarioDocument,
         col.grab(exc)
         return None
 
-    if doc.chronic_abstraction:
+    if data.get("chronic_abstraction", False):
         clinic = None
-        if doc.clinic_buffers is not None:
+        if "clinic_buffers" in data:
             clinic = []
-            for name in doc.clinic_buffers:
+            for name in data["clinic_buffers"]:
                 if name not in buffer_index:
                     col.add("cross-references",
                             f"clinic_buffers names unknown buffer {name!r}")
@@ -684,12 +391,12 @@ def _build_model(doc: ScenarioDocument,
         except ValidationError as exc:
             col.grab(exc)
             return None
-    elif doc.aggregation is not None:
+    elif "aggregation" in data:
         pairs = []
         names = []
-        for i, agg in enumerate(doc.aggregation):
-            names.append(agg.name)
-            for member in agg.members:
+        for i, agg in enumerate(data["aggregation"]):
+            names.append(agg["name"])
+            for member in agg["members"]:
                 if member not in buffer_index:
                     col.add("cross-references",
                             f"aggregation names unknown buffer {member!r}")
@@ -730,17 +437,17 @@ def _per_dof(model: StructuralModel, table: dict[str, float], what: str,
     return out
 
 
-def _build_health_net(ind: IndividualSpec, assumed: AssumedValues,
+def _build_health_net(ind: dict, assumed: dict,
                       col: _Collector) -> HealthNet | None:
-    where = f"individual {ind.id!r}"
-    states = list(ind.states)
+    where = f"individual {ind['id']!r}"
+    states = ind["health_states"]
     if len(set(states)) != len(states):
         col.add("health-states", f"{where}: duplicate health states")
         return None
     index = {s: i for i, s in enumerate(states)}
 
     values = np.zeros(len(states))
-    declared = assumed.state_values(ind.id)
+    declared = assumed.get("health_state_values", {}).get(ind["id"], {})
     for i, state in enumerate(states):
         if state not in declared:
             col.add("health-values",
@@ -752,43 +459,45 @@ def _build_health_net(ind: IndividualSpec, assumed: AssumedValues,
             col.add("health-values",
                     f"{where}: value declared for unknown state {state!r}")
 
-    durations = assumed.event_durations(ind.id)
-    m_minus = np.zeros((len(states), len(ind.events)))
-    m_plus = np.zeros((len(states), len(ind.events)))
+    durations = assumed.get("health_event_durations", {}).get(ind["id"], {})
+    weights = assumed.get("health_event_weights", {}).get(ind["id"], {})
+    specs = ind.get("health_events", [])
+    m_minus = np.zeros((len(states), len(specs)))
+    m_plus = np.zeros((len(states), len(specs)))
     events = []
     ok = True
-    for j, spec in enumerate(ind.events):
-        for state, weight in spec.consumes:
+    for j, spec in enumerate(specs):
+        for state, weight in spec["consumes"].items():
             if state not in index:
                 col.add("health-states",
-                        f"{where}: event {spec.name!r} consumes unknown "
+                        f"{where}: event {spec['name']!r} consumes unknown "
                         f"state {state!r}")
                 ok = False
             else:
                 m_minus[index[state], j] = weight
-        weights = assumed.event_weights(ind.id, spec.name)
-        for state, weight in spec.produces:
+        deferred = weights.get(spec["name"], {})
+        for state, weight in spec["produces"].items():
             if state not in index:
                 col.add("health-states",
-                        f"{where}: event {spec.name!r} produces unknown "
+                        f"{where}: event {spec['name']!r} produces unknown "
                         f"state {state!r}")
                 ok = False
                 continue
             if weight is None:
-                if state not in weights:
+                if state not in deferred:
                     col.add("health-event-normalization",
-                            f"{where}: event {spec.name!r} defers the "
+                            f"{where}: event {spec['name']!r} defers the "
                             f"weight of branch {state!r} to assumed_values "
                             f"but none is declared")
                     ok = False
                     continue
-                weight = weights[state]
+                weight = deferred[state]
             m_plus[index[state], j] = weight
-        duration = durations.get(spec.name, durations.get(DEFAULT_KEY, 0.0))
+        duration = durations.get(spec["name"], durations.get(DEFAULT_KEY, 0.0))
         events.append(HealthEvent(
-            j, spec.name, HealthEventKind(spec.kind),
-            realized_by=tuple(spec.realized_by), duration=duration,
-            note=spec.note))
+            j, spec["name"], HealthEventKind(spec["kind"]),
+            realized_by=tuple(spec.get("realized_by", ())),
+            duration=duration, note=spec.get("note")))
     if not ok:
         return None
     try:
@@ -800,18 +509,20 @@ def _build_health_net(ind: IndividualSpec, assumed: AssumedValues,
 
 
 def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
-    model = _build_model(doc, col)
+    data = doc.data
+    model = _build_model(data, col)
     if model is None:
         return None
 
-    durations = _per_dof(model, doc.assumed.duration_map(), "durations", col)
-    costs = _per_dof(model, doc.assumed.cost_map(), "costs", col)
+    assumed = data.get("assumed_values", {})
+    durations = _per_dof(model, assumed.get("durations", {}), "durations",
+                         col)
+    costs = _per_dof(model, assumed.get("costs", {}), "costs", col)
 
     capacities = np.ones(model.dof_count, dtype=int)
-    cap_table = dict(doc.capacities)
     dof_keys = {dof_key(model.processes[w].name, model.resources[v].name): i
                 for i, (w, v) in enumerate(model.dof_list)}
-    for key, cap in cap_table.items():
+    for key, cap in data.get("transition_capacities", {}).items():
         if key not in dof_keys:
             col.add("capacities", f"capacity names unknown capability "
                                   f"{key!r}")
@@ -828,7 +539,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
 
     place_index = {name: i for i, name in enumerate(net.place_names)}
     tokens = np.zeros(net.n_places, dtype=int)
-    for name, count in doc.initial_tokens:
+    for name, count in data.get("initial_tokens", {}).items():
         if name not in place_index:
             col.add("initial-tokens",
                     f"initial tokens name unknown place {name!r}")
@@ -837,27 +548,25 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                                       f"negative")
         else:
             tokens[place_index[name]] = count
-    try:
-        initial = Marking.initial(net, tokens)
-    except ValidationError as exc:
-        col.grab(exc)
-        initial = Marking.initial(net)
+    initial = Marking.initial(net, tokens)
 
     transform_names = [p.name for p in model.transformation_processes]
     selector = coordination.build_transform_selector(model)
 
     individuals = []
     nets: dict[str, HealthNet] = {}
-    for ind in doc.individuals:
-        if ind.id in nets:
-            col.add("health-states", f"duplicate individual id {ind.id!r}")
+    for ind in data.get("individuals", []):
+        if ind["id"] in nets:
+            col.add("health-states", f"duplicate individual id {ind['id']!r}")
             continue
-        hnet = _build_health_net(ind, doc.assumed, col)
+        hnet = _build_health_net(ind, assumed, col)
         if hnet is None:
             continue
-        nets[ind.id] = hnet
+        nets[ind["id"]] = hnet
+        masses = (ind["initial_marking"] if "initial_marking" in ind
+                  else {ind["initial_state"]: 1.0})
         try:
-            marking = HealthMarking.from_distribution(hnet, dict(ind.initial))
+            marking = HealthMarking.from_distribution(hnet, masses)
             health.check_unit_mass(marking)
         except ValidationError as exc:
             col.grab(exc)
@@ -867,44 +576,47 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
         except ValidationError as exc:
             col.grab(exc)
             continue
-        individuals.append(Individual(ind.id, hnet, marking, feas))
+        individuals.append(Individual(ind["id"], hnet, marking, feas))
 
     delivery_actions = []
     health_actions = []
     last_time = None
-    for i, entry in enumerate(doc.schedule):
+    for i, entry in enumerate(data.get("schedule", [])):
         where = f"schedule[{i}]"
-        if last_time is not None and entry.time < last_time:
+        time = entry["time"]
+        if last_time is not None and time < last_time:
             col.add("schedule-order",
-                    f"{where}: time {entry.time} precedes the previous "
-                    f"entry at {last_time}")
-        last_time = entry.time
-        if entry.individual not in nets:
+                    f"{where}: time {time} precedes the previous entry at "
+                    f"{last_time}")
+        last_time = time
+        if entry["individual"] not in nets:
             col.add("schedule-references",
-                    f"{where}: unknown individual {entry.individual!r}")
+                    f"{where}: unknown individual {entry['individual']!r}")
             continue
-        hnet = nets[entry.individual]
+        hnet = nets[entry["individual"]]
         outcome = None
-        if entry.outcome is not None:
+        if "outcome" in entry:
             try:
-                outcome = hnet.state_index(entry.outcome)
+                outcome = hnet.state_index(entry["outcome"])
             except ValidationError:
                 col.add("schedule-references",
                         f"{where}: unknown outcome state "
-                        f"{entry.outcome!r}")
+                        f"{entry['outcome']!r}")
                 continue
-        if entry.is_delivery:
-            key = dof_key(entry.process, entry.resource)
+        if "process" in entry:
+            key = dof_key(entry["process"], entry["resource"])
             if key not in dof_keys:
                 col.add("schedule-references",
                         f"{where}: {key!r} is not an available capability")
                 continue
             delivery_actions.append(DeliveryAction(
-                entry.time, dof_keys[key], entry.individual, outcome))
+                time, dof_keys[key], entry["individual"], outcome))
         else:
             events = []
             ok = True
-            for name in entry.events:
+            names = ([entry["event"]] if "event" in entry
+                     else entry["event_group"])
+            for name in names:
                 try:
                     index = hnet.event_index(name)
                 except ValidationError:
@@ -922,8 +634,8 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                     events.append(index)
             if ok:
                 health_actions.append(HealthAction(
-                    entry.time, entry.individual, tuple(events), outcome,
-                    entry.optional))
+                    time, entry["individual"], tuple(events), outcome,
+                    entry.get("optional", False)))
 
     if col:
         return None
@@ -937,19 +649,31 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
 # ---------------------------------------------------------------------------
 
 def load_scenario_data(data: Any) -> ScenarioDocument:
-    """Load a scenario from already-parsed JSON data."""
+    """Schema-check and compile already-parsed JSON data.
+
+    Raises :class:`ScenarioError` carrying every failure found.
+    """
     col = _Collector()
-    doc = _load_document(data, col)
-    if doc is not None:
-        _compile(doc, col)
+    doc = ScenarioDocument(_walk(_ROOT, data, "", col))
+    if not col and doc.data["schema_version"] != SCHEMA_VERSION:
+        col.add("schema", f"unsupported schema_version "
+                          f"{doc.data['schema_version']}; this engine reads "
+                          f"version {SCHEMA_VERSION}")
+    compiled = None if col else _compile(doc, col)
+    if compiled is not None:
+        model = compiled.model
+        ones = model.projection.apply(model.concept.vec_dense())
+        if not np.array_equal(ones, np.ones(model.dof_count, dtype=int)):
+            col.add("projection-identity",
+                    "projecting the vectorized concept matrix does not give "
+                    "all ones")
     if col:
         raise ScenarioError(col.failures)
-    assert doc is not None
     return doc
 
 
 def load_scenario(path: str | Path) -> ScenarioDocument:
-    """Load and fully validate a scenario file.
+    """Read, parse, schema-check and compile a scenario file.
 
     Raises :class:`ScenarioError` carrying every failure found, or a
     parse failure with its line and column.
@@ -958,6 +682,9 @@ def load_scenario(path: str | Path) -> ScenarioDocument:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError([("parse", str(exc))]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([("parse", f"{path}: byte {exc.start} is not "
+                                       f"UTF-8")]) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -1000,61 +727,27 @@ class ValidationReport:
 
 
 def validate_file(path: str | Path) -> ValidationReport:
-    """Run every structural check against a scenario file."""
-    col = _Collector()
-    parsed = True
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        message = str(exc)
-        if isinstance(exc, json.JSONDecodeError):
-            message = f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-        col.add("parse", message)
-        parsed = False
-        data = None
-    if parsed:
-        doc = _load_document(data, col)
-        if doc is not None:
-            compiled = _compile(doc, col)
-            if compiled is not None:
-                _positive_checks(compiled, col)
+    """Run every check :func:`load_scenario` runs and report each one.
 
+    A failure outside :data:`CHECKS` is reported after them, so the
+    report fails exactly when loading would.
+    """
+    try:
+        load_scenario(path)
+        failures = []
+    except ScenarioError as exc:
+        failures = exc.failures
     failed: dict[str, list[str]] = {}
-    for check, message in col.failures:
+    for check, message in failures:
         failed.setdefault(check, []).append(message)
+    parsed = "parse" not in failed
     results = []
-    for check in CHECKS:
+    for check in CHECKS + tuple(c for c in failed if c not in CHECKS):
         if check in failed:
             results.append(CheckResult(check, "fail",
                                        tuple(failed[check])))
-        elif not parsed and check != "parse":
+        elif not parsed:
             results.append(CheckResult(check, "skipped"))
         else:
             results.append(CheckResult(check, "pass"))
     return ValidationReport(tuple(results))
-
-
-def _positive_checks(compiled: CompiledScenario, col: _Collector) -> None:
-    """Numeric invariants re-verified on the compiled artifacts."""
-    model = compiled.model
-    ones = model.projection.apply(model.concept.vec_dense())
-    if not np.array_equal(ones, np.ones(model.dof_count, dtype=int)):
-        col.add("projection-identity",
-                "projecting the vectorized concept matrix does not give "
-                "all ones")
-    for name, mat in (("consumption", compiled.net.m_minus),
-                      ("production", compiled.net.m_plus)):
-        sums = mat.sum(axis=0)
-        if compiled.net.n_transitions and not np.array_equal(
-                sums, np.ones(compiled.net.n_transitions, dtype=int)):
-            col.add("incidence-column-sums",
-                    f"{name} matrix has a column not summing to 1")
-    for ind in compiled.individuals:
-        try:
-            health.check_unit_mass(ind.initial)
-        except ValidationError as exc:
-            col.grab(exc)
-        try:
-            coordination.validate_feasibility(ind.feasibility, ind.net)
-        except ValidationError as exc:
-            col.grab(exc)

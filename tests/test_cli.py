@@ -83,6 +83,13 @@ class TestSimulateCommand:
         assert code == 1
         assert not any(out.glob("*.csv")) if out.exists() else True
 
+    def test_output_path_that_is_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep me", encoding="utf-8")
+        assert main(["simulate", str(CHRONIC), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert read(out) == "keep me"
+
     def test_runs_flag_merges_statistics(self, tmp_path):
         out = tmp_path / "mc"
         assert main(["simulate", str(CHRONIC), "--mode", "sample",

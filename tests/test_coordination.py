@@ -1,18 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from carenets.cli import main
 from carenets.coordination import (DeliveryAction, HealthAction, Individual,
                                    build_feasibility,
                                    build_transform_selector, cosimulate,
                                    induce_health_firing, system_firing)
-from carenets.delivery import DeliveryNet, Marking
+from carenets.delivery import DeliveryNet, Marking, build_schedule
 from carenets.errors import (AmbiguousHealthEventError, CapacityError,
                              InfeasibleCareActionError, SimulationError,
                              ValidationError)
 from carenets.health import (HealthEvent, HealthEventKind, HealthMarking,
                              HealthNet)
+from carenets.scenario import compile_scenario, load_scenario_data
 from carenets.structure import (Process, Resource, ResourceClass,
                                 StructuralModel)
+
+from helpers import ACUTE
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
@@ -325,3 +331,34 @@ class TestCosimulate:
             cosimulate(net, initial, [individual], selector, [],
                        [HealthAction(1.0, "p1", (1,))])
         assert "scheduled directly" in str(err.value)
+
+
+class TestZeroDuration:
+    def test_zero_duration_acute_document_simulates(self, tmp_path):
+        data = json.loads(ACUTE.read_text(encoding="utf-8"))
+        durations = data["assumed_values"]["durations"]
+        data["assumed_values"]["durations"] = dict.fromkeys(durations, 0.0)
+        del data["assumed_values"]["health_event_durations"]
+        compiled = compile_scenario(load_scenario_data(data))
+        result = compiled.run(mode="replay")
+
+        delivery = [(row.time, row.index, row.kind) for row in result.trace
+                    if row.net == "delivery"]
+        starts = [(a.time, a.psi) for a in compiled.delivery_actions]
+        expected = [(r.time, r.psi, r.kind.value)
+                    for r in build_schedule(starts, compiled.net)]
+        assert delivery == expected
+        assert delivery[1::2] == [(t, psi, "complete")
+                                  for t, psi, _ in delivery[0::2]]
+        assert result.final_marking.busy_tokens.sum() == 0
+
+        out = tmp_path / "run"
+        assert main(["simulate", str(_write(tmp_path, data)),
+                     "--out", str(out)]) == 0
+        assert (out / "summary.txt").exists()
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path

@@ -43,7 +43,7 @@ class TestAcuteFixture:
 
 class TestChronicFixture:
     def test_declares_exactly_seven_capabilities(self, chronic_doc, chronic):
-        assert len(chronic_doc.knowledge) == 7
+        assert len(chronic_doc.data["knowledge_base"]) == 7
         assert chronic.model.knowledge.count == 7
         assert chronic.model.dof_count == 7
 

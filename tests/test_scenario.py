@@ -1,8 +1,12 @@
 import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carenets.cli import main
 from carenets.errors import ScenarioError
 from carenets.scenario import (compile_scenario, load_scenario,
                                load_scenario_data, validate_file)
@@ -87,16 +91,126 @@ class TestLoading:
                    for _, message in err.value.failures)
 
 
+def _initial_marking_not_a_number(data):
+    individual = data["individuals"][0]
+    del individual["initial_state"]
+    individual["initial_marking"] = {"healthy": "all of it"}
+
+
+def _set_first_assumed(table, value):
+    def mutate(data):
+        entries = data["assumed_values"][table]
+        entries[next(iter(entries))] = value
+    return mutate
+
+
+def _set_first_time(value):
+    def mutate(data):
+        data["schedule"][0]["time"] = value
+    return mutate
+
+
+DEFECTS = {
+    "initial-marking-not-a-number": _initial_marking_not_a_number,
+    "resources-not-a-list": lambda data: data.update(resources=5),
+    "notes-not-a-list": lambda data: data.update(notes=7),
+    "nan-duration": _set_first_assumed("durations", math.nan),
+    "inf-cost": _set_first_assumed("costs", math.inf),
+    "negative-time": _set_first_time(-1.0),
+    "boolean-time": _set_first_time(True),
+    "schedule-entry-not-an-object": lambda data: data["schedule"].append(5),
+}
+
+
+class TestDefectiveDocuments:
+    @pytest.mark.parametrize("mutate", DEFECTS.values(), ids=DEFECTS.keys())
+    def test_rejected_with_scenario_error(self, mutate, tmp_path, capsys):
+        data = acute_data()
+        mutate(data)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert [check for check, _ in err.value.failures] == ["schema"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["dof", str(path)]) == 2
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  schema" in capsys.readouterr().out
+
+    def test_failure_outside_listed_checks_fails_validate(self, tmp_path):
+        data = acute_data()
+        data["processes"].append(copy.deepcopy(data["processes"][0]))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        report = validate_file(path)
+        assert not report.ok
+        failed = {r.check: r.messages for r in report.results
+                  if r.status == "fail"}
+        assert failed == {check: (message,)
+                          for check, message in err.value.failures}
+
+    def test_file_not_utf8_is_a_parse_failure(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert [check for check, _ in err.value.failures] == ["parse"]
+
+
+JUNK = [None, True, False, 0, 2, -1, 2 ** 70, 1.5, -0.5, math.nan,
+        math.inf, -math.inf, "", "healthy", "outside clinic", "patient",
+        [], [None], ["healthy", 1], {}, {"healthy": None},
+        {"healthy": math.nan}]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture with a few keys dropped, list items repeated, or values
+    swapped for junk."""
+    data = draw(st.sampled_from([acute_data, chronic_data]))()
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = data
+        for _ in range(draw(st.integers(1, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = list(node) if isinstance(node, dict) \
+                else list(range(len(node)))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            continue
+        action = draw(st.sampled_from(["drop", "repeat", "junk"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.append(copy.deepcopy(node))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          database=None)
+@given(mutated_documents())
+def test_loader_raises_only_scenario_error(data):
+    try:
+        load_scenario_data(data)
+    except ScenarioError:
+        pass
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("path", [ACUTE, CHRONIC],
                              ids=["acute", "chronic"])
     def test_load_serialize_load(self, path):
         first = load_scenario(path)
-        second = load_scenario_data(first.to_dict())
+        second = load_scenario_data(json.loads(json.dumps(first.data)))
         assert first == second
 
     def test_serialized_form_is_json(self, chronic_doc):
-        text = json.dumps(chronic_doc.to_dict())
+        text = json.dumps(chronic_doc.data, allow_nan=False)
         assert load_scenario_data(json.loads(text)) == chronic_doc
 
 
