@@ -11,15 +11,13 @@ from .coordination import (DeliveryAction, HealthAction, Individual,
                            RunResult, cosimulate, induce_health_firing,
                            system_firing)
 from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                       build_incidence_in, build_incidence_out,
-                       build_schedule, cumulative_cost, simulate, step)
+                       build_incidence_in, build_incidence_out, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      CareNetsError, InfeasibleCareActionError,
                      NotEnabledError, ScenarioError, SimulationError,
                      ValidationError)
 from .health import (HealthEvent, HealthEventKind, HealthMarking, HealthNet,
-                     fire_stochastic, fuzzy_step, health_outcome,
-                     sample_branch)
+                     fuzzy_step, health_outcome, sample_branch)
 from .scenario import (CompiledScenario, ScenarioDocument, compile_scenario,
                        load_scenario, validate_file)
 from .structure import (Aggregation, BoolMatrix, Process, Projection,

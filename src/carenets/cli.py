@@ -40,6 +40,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _count(minimum: int):
+    """Argument type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carenets",
@@ -63,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=("replay", "sample"),
                        default="replay",
                        help="replay declared outcomes or sample branches")
-    p_sim.add_argument("--seed", type=int, default=0,
-                       help="generator seed for sample mode")
+    p_sim.add_argument("--seed", type=_count(0), default=0,
+                       help="generator seed for sample mode (>= 0)")
     p_sim.add_argument("--out", type=Path, required=True,
                        help="directory for the run outputs")
-    p_sim.add_argument("--runs", type=int, default=1,
-                       help="number of independent seeded runs")
+    p_sim.add_argument("--runs", type=_count(1), default=1,
+                       help="number of independent seeded runs (>= 1)")
     p_sim.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -13,13 +13,21 @@ When one process realizes several health events, the individual's current
 condition decides: exactly one of the candidates must be enabled under
 the individual's marking. Zero enabled candidates means the care action
 is infeasible; several mean the scenario is ambiguous. Both are errors.
+
+:func:`cosimulate` is the package's one discrete-event kernel. It pops
+four kinds of typed event (delivery start and completion, scheduled health
+action, health completion) from one time-ordered queue and changes
+markings only through :func:`delivery.step` and the :mod:`health`
+primitives. Each start engages one individual, so the kernel works on
+that individual's engagement column; :func:`system_firing` keeps the
+matrix form as a test oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +35,8 @@ from . import health
 from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
                        TrajectoryPoint, completion_key, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
-                     InfeasibleCareActionError, NotEnabledError,
-                     SimulationError, ValidationError)
+                     CareNetsError, InfeasibleCareActionError,
+                     NotEnabledError, SimulationError, ValidationError)
 from .health import HealthMarking, HealthNet
 from .structure import ResourceClass, StructuralModel
 
@@ -78,34 +86,23 @@ def build_transform_selector(model: StructuralModel) -> np.ndarray:
     return selector
 
 
-def system_firing(engagement: np.ndarray,
-                  capacities: np.ndarray | None = None) -> np.ndarray:
+def system_firing(engagement: np.ndarray) -> np.ndarray:
     """Delivery-net start vector: row sums of the engagement matrix."""
-    engagement = np.asarray(engagement, dtype=int)
-    u_minus = engagement.sum(axis=1)
-    if capacities is not None:
-        over = np.nonzero(u_minus > np.asarray(capacities, dtype=int))[0]
-        if over.size:
-            psi = int(over[0])
-            raise CapacityError(
-                f"transition {psi} engaged by {int(u_minus[psi])} "
-                f"individuals at once, capacity is "
-                f"{int(capacities[psi])}")
-    return u_minus
+    return np.asarray(engagement, dtype=int).sum(axis=1)
 
 
 def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
-                         engagement: np.ndarray, individual: int,
-                         net: HealthNet,
+                         engagement: np.ndarray, net: HealthNet,
                          marking: HealthMarking) -> np.ndarray:
     """Health-event firing vector induced for one individual.
 
-    For every transformation process the individual is engaged in, the
-    unique enabled candidate among the events it realizes fires. The
-    result is verified to reproduce the engaged transformation counts
-    exactly before it is returned.
+    ``engagement`` is the individual's column of the engagement matrix,
+    one entry per delivery transition. For every transformation process
+    the individual is engaged in, the unique enabled candidate among the
+    events it realizes fires. The result is verified to reproduce the
+    engaged transformation counts exactly before it is returned.
     """
-    rhs = selector @ np.asarray(engagement, dtype=int)[:, individual]
+    rhs = selector @ np.asarray(engagement, dtype=int)
     u_l = np.zeros(net.n_events, dtype=int)
     for j in np.nonzero(rhs)[0]:
         candidates = np.nonzero(feasibility[:, j])[0]
@@ -130,7 +127,7 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
     return u_l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryAction:
     """Scheduled start of a delivery transition by one individual."""
 
@@ -140,7 +137,7 @@ class DeliveryAction:
     outcome: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HealthAction:
     """Scheduled spontaneous health event.
 
@@ -198,8 +195,20 @@ class RunResult:
     skipped_actions: int = 0
 
 
-_DELIVERY = 0
-_HEALTH = 1
+class DeliveryCompletion(NamedTuple):
+    """Completion of a delivery transition started by one individual."""
+
+    psi: int
+    individual: str
+
+
+class HealthCompletion(NamedTuple):
+    """Completion of an in-flight health event along its output column."""
+
+    individual: str
+    event: int
+    column: np.ndarray
+    magnitude: float
 
 
 def cosimulate(net: DeliveryNet, initial: Marking,
@@ -211,25 +220,25 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                seed: int | None = 0) -> RunResult:
     """Run both nets against one synchronized clock.
 
-    Delivery starts expand into start/complete pairs spaced by transition
-    durations. A start of a transformation transition additionally fires
-    the induced health event of the engaged individual, whose completion
-    follows after the event's own duration. Scheduled stochastic health
-    events fire on their own. Completions apply before starts at the same
-    instant, except that a zero-duration delivery completion directly
+    Each :class:`DeliveryAction` is a start, paired with a
+    :class:`DeliveryCompletion` after the transition's duration. A start
+    of a transformation transition additionally fires the induced health
+    event of the engaged individual, whose :class:`HealthCompletion`
+    follows after the event's own duration. A :class:`HealthAction` fires
+    a stochastic event on its own. Completions apply before starts at the
+    same instant, except that a zero-duration delivery completion directly
     follows its own start (see :func:`delivery.completion_key`); remaining
     ties follow schedule order. In sample mode, branch outcomes are drawn
-    from a generator seeded once for the whole run.
+    from a generator seeded once for the whole run. An event that cannot
+    be applied raises :class:`SimulationError` naming that event.
     """
     if mode not in ("replay", "sample"):
         raise ValidationError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed) if mode == "sample" else None
 
-    ids = [ind.id for ind in individuals]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate individual ids")
-    col = {ind.id: i for i, ind in enumerate(individuals)}
     by_id = {ind.id: ind for ind in individuals}
+    if len(by_id) != len(individuals):
+        raise ValidationError("duplicate individual ids")
     markings = {ind.id: ind.initial for ind in individuals}
 
     result = RunResult()
@@ -243,31 +252,38 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     heap: list[tuple] = []
     seq = 0
 
-    def push(time, order, payload):
+    def push(time, order, event):
         nonlocal seq
-        heapq.heappush(heap, (float(time), order, seq, payload))
+        heapq.heappush(heap, (float(time), order, seq, event))
         seq += 1
 
+    for action in (*delivery_actions, *health_actions):
+        if action.individual not in by_id:
+            raise ValidationError(
+                f"schedule names unknown individual {action.individual!r}")
     for action in delivery_actions:
-        if action.individual not in col:
-            raise ValidationError(
-                f"schedule names unknown individual {action.individual!r}")
-        push(action.time, FiringKind.START.order,
-             (_DELIVERY, FiringKind.START, action))
+        push(action.time, FiringKind.START.order, action)
         done, order = completion_key(action.time, net.durations[action.psi])
-        push(done, order, (_DELIVERY, FiringKind.COMPLETE, action.psi,
-                           action.individual))
+        push(done, order, DeliveryCompletion(action.psi, action.individual))
     for action in health_actions:
-        if action.individual not in col:
-            raise ValidationError(
-                f"schedule names unknown individual {action.individual!r}")
-        push(action.time, FiringKind.START.order,
-             (_HEALTH, FiringKind.START, action))
+        push(action.time, FiringKind.START.order, action)
 
     marking = initial
     completions = np.zeros(net.n_transitions, dtype=int)
     total_cost = 0.0
     zero = np.zeros(net.n_transitions, dtype=int)
+
+    def one_hot(psi: int) -> np.ndarray:
+        pulse = zero.copy()
+        pulse[psi] = 1
+        return pulse
+
+    def record_delivery(time: float, psi: int, kind: FiringKind) -> None:
+        result.trace.append(TraceRow(time, "delivery",
+                                     net.transitions[psi].label, psi,
+                                     kind.value))
+        result.delivery_trajectory.append(TrajectoryPoint(
+            time, FiringRecord(psi, kind, time), marking))
 
     def record_outcome(time: float, ind_id: str) -> None:
         result.outcome_series.append(
@@ -283,116 +299,103 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         pulse[event] = magnitude
         markings[ind_id] = health.fuzzy_step(
             ind.net, markings[ind_id], pulse, np.zeros(ind.net.n_events))
-        column, realized = health.resolve_output(
-            ind.net, event, outcome=outcome, rng=rng)
-        done = time + ind.net.events[event].duration
-        push(done, FiringKind.COMPLETE.order,
-             (_HEALTH, FiringKind.COMPLETE, ind_id, event, column,
-              magnitude))
+        column, _ = health.resolve_output(ind.net, event, outcome=outcome,
+                                          rng=rng)
+        push(time + ind.net.events[event].duration,
+             FiringKind.COMPLETE.order,
+             HealthCompletion(ind_id, event, column, magnitude))
         result.trace.append(TraceRow(time, f"health:{ind_id}",
                                      ind.net.events[event].name, event,
                                      FiringKind.START.value))
         record_outcome(time, ind_id)
 
     while heap:
-        time, _, _, payload = heapq.heappop(heap)
+        time, _, _, event = heapq.heappop(heap)
+        ind_id = event.individual
         try:
-            if payload[0] == _DELIVERY and payload[1] is FiringKind.START:
-                action: DeliveryAction = payload[2]
-                engagement = np.zeros((net.n_transitions, len(individuals)),
-                                      dtype=int)
-                engagement[action.psi, col[action.individual]] = 1
-                u_minus = system_firing(engagement, net.capacities)
-                marking = step(net, marking, u_minus, zero)
-                if marking.busy_tokens[action.psi] > \
-                        net.capacities[action.psi]:
-                    raise CapacityError(
-                        f"transition {action.psi} "
-                        f"({net.transitions[action.psi].label}) exceeds "
-                        f"its concurrent capacity of "
-                        f"{int(net.capacities[action.psi])}")
-                result.trace.append(TraceRow(
-                    time, "delivery", net.transitions[action.psi].label,
-                    action.psi, FiringKind.START.value))
-                result.delivery_trajectory.append(TrajectoryPoint(
-                    time, FiringRecord(action.psi, FiringKind.START, time),
-                    marking))
+            match event:
+                case DeliveryAction(psi=psi):
+                    engagement = one_hot(psi)
+                    marking = step(net, marking, engagement, zero)
+                    if marking.busy_tokens[psi] > net.capacities[psi]:
+                        raise CapacityError(
+                            f"transition {psi} "
+                            f"({net.transitions[psi].label}) exceeds its "
+                            f"concurrent capacity of "
+                            f"{int(net.capacities[psi])}")
+                    record_delivery(time, psi, FiringKind.START)
 
-                ind = by_id[action.individual]
-                u_l = induce_health_firing(
-                    ind.feasibility, selector, engagement,
-                    col[action.individual], ind.net,
-                    markings[action.individual])
-                rhs = selector @ engagement[:, col[action.individual]]
-                residual = int(np.abs(ind.feasibility.T @ u_l - rhs).max())
-                result.coupling_checks.append(CouplingCheck(
-                    time, action.psi, action.individual, residual))
-                for event in np.nonzero(u_l)[0]:
-                    start_health_event(time, action.individual, int(event),
-                                       action.outcome, float(u_l[event]))
+                    ind = by_id[ind_id]
+                    u_l = induce_health_firing(
+                        ind.feasibility, selector, engagement, ind.net,
+                        markings[ind_id])
+                    residual = ind.feasibility.T @ u_l - selector @ engagement
+                    result.coupling_checks.append(CouplingCheck(
+                        time, psi, ind_id,
+                        int(np.abs(residual).max(initial=0))))
+                    for ev in np.nonzero(u_l)[0]:
+                        start_health_event(time, ind_id, int(ev),
+                                           event.outcome, float(u_l[ev]))
 
-            elif payload[0] == _DELIVERY:
-                psi, ind_id = payload[2], payload[3]
-                pulse = zero.copy()
-                pulse[psi] = 1
-                marking = step(net, marking, zero, pulse)
-                completions[psi] += 1
-                total_cost += float(net.costs[psi])
-                result.cost_series.append((time, total_cost))
-                result.trace.append(TraceRow(
-                    time, "delivery", net.transitions[psi].label, psi,
-                    FiringKind.COMPLETE.value))
-                result.delivery_trajectory.append(TrajectoryPoint(
-                    time, FiringRecord(psi, FiringKind.COMPLETE, time),
-                    marking))
+                case DeliveryCompletion(psi=psi):
+                    marking = step(net, marking, zero, one_hot(psi))
+                    completions[psi] += 1
+                    total_cost += float(net.costs[psi])
+                    result.cost_series.append((time, total_cost))
+                    record_delivery(time, psi, FiringKind.COMPLETE)
 
-            elif payload[1] is FiringKind.START:
-                action: HealthAction = payload[2]
-                ind = by_id[action.individual]
-                for event in action.events:
-                    if not ind.net.events[event].is_stochastic:
-                        raise ValidationError(
-                            f"induced event "
-                            f"{ind.net.events[event].name!r} cannot be "
-                            f"scheduled directly")
-                enabled = [e for e in action.events
-                           if health.is_enabled(ind.net,
-                                                markings[action.individual],
-                                                e)]
-                if not enabled:
-                    if action.optional:
-                        result.skipped_actions += 1
-                        continue
-                    names = [ind.net.events[e].name for e in action.events]
-                    raise NotEnabledError(
-                        f"none of the scheduled health events {names} is "
-                        f"enabled")
-                if len(enabled) > 1:
-                    names = [ind.net.events[e].name for e in enabled]
-                    raise AmbiguousHealthEventError(
-                        f"several scheduled health events are enabled at "
-                        f"once: {names}")
-                event = enabled[0]
-                magnitude = 1.0 if rng is not None else \
-                    health.enabled_magnitude(
-                        ind.net, markings[action.individual], event)
-                start_health_event(time, action.individual, event,
-                                   action.outcome, magnitude)
+                case HealthAction(events=candidates):
+                    hnet = by_id[ind_id].net
+                    for ev in candidates:
+                        if not hnet.events[ev].is_stochastic:
+                            raise ValidationError(
+                                f"induced event {hnet.events[ev].name!r} "
+                                f"cannot be scheduled directly")
+                    enabled = [ev for ev in candidates
+                               if health.is_enabled(hnet, markings[ind_id],
+                                                    ev)]
+                    if not enabled:
+                        if event.optional:
+                            result.skipped_actions += 1
+                            continue
+                        names = [hnet.events[ev].name for ev in candidates]
+                        raise NotEnabledError(
+                            f"none of the scheduled health events {names} "
+                            f"is enabled")
+                    if len(enabled) > 1:
+                        names = [hnet.events[ev].name for ev in enabled]
+                        raise AmbiguousHealthEventError(
+                            f"several scheduled health events are enabled "
+                            f"at once: {names}")
+                    magnitude = 1.0 if rng is not None else \
+                        health.enabled_magnitude(hnet, markings[ind_id],
+                                                 enabled[0])
+                    start_health_event(time, ind_id, enabled[0],
+                                       event.outcome, magnitude)
 
-            else:
-                _, _, ind_id, event, column, magnitude = payload
-                ind = by_id[ind_id]
-                markings[ind_id] = health.apply_completion(
-                    ind.net, markings[ind_id], event, column, magnitude)
-                result.trace.append(TraceRow(
-                    time, f"health:{ind_id}", ind.net.events[event].name,
-                    event, FiringKind.COMPLETE.value))
-                record_outcome(time, ind_id)
+                case HealthCompletion(event=ev, column=column,
+                                      magnitude=magnitude):
+                    hnet = by_id[ind_id].net
+                    markings[ind_id] = health.apply_completion(
+                        hnet, markings[ind_id], ev, column, magnitude)
+                    result.trace.append(TraceRow(
+                        time, f"health:{ind_id}", hnet.events[ev].name, ev,
+                        FiringKind.COMPLETE.value))
+                    record_outcome(time, ind_id)
 
-        except (NotEnabledError, CapacityError, InfeasibleCareActionError,
-                AmbiguousHealthEventError, ValidationError) as exc:
+        except CareNetsError as exc:
+            where, events = f"health:{ind_id}", by_id[ind_id].net.events
+            match event:
+                case DeliveryAction(psi=psi) | DeliveryCompletion(psi=psi):
+                    where, label = "delivery", net.transitions[psi].label
+                case HealthAction(events=candidates):
+                    label = " | ".join(events[ev].name for ev in candidates)
+                case HealthCompletion(event=ev):
+                    label = events[ev].name
             raise SimulationError(
-                f"at t={time}: {exc}") from exc
+                f"at t={time}, {where} {label!r}, individual {ind_id!r}: "
+                f"{exc}", time=time, net=where, label=label,
+                individual=ind_id) from exc
 
     result.completion_counts = completions
     result.final_marking = marking

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotEnabledError, SimulationError, ValidationError
+from .errors import NotEnabledError, ValidationError
 from .structure import (Aggregation, BoolMatrix, ResourceClass,
                         StructuralModel)
 
@@ -256,75 +256,8 @@ def step(net: DeliveryNet, marking: Marking,
                    after_completes + u_minus)
 
 
-def build_schedule(starts: Iterable[tuple[float, int]],
-                   net: DeliveryNet) -> list[FiringRecord]:
-    """Expand start times into a sorted start/complete event list.
-
-    Every start at time t is paired with a completion at t plus the
-    transition's duration. Completions sort before starts sharing an
-    instant; ties beyond that keep the input order.
-    """
-    records = []
-    for seq, (time, psi) in enumerate(starts):
-        if time < 0:
-            raise ValidationError(f"start time {time} is negative")
-        if not (0 <= psi < net.n_transitions):
-            raise ValidationError(f"transition index {psi} out of range")
-        records.append((float(time), FiringKind.START.order, seq, 0,
-                        FiringRecord(psi, FiringKind.START, float(time))))
-        done, order = completion_key(time, net.durations[psi])
-        records.append((done, order, seq, 1,
-                        FiringRecord(psi, FiringKind.COMPLETE, done)))
-    records.sort(key=lambda r: r[:4])
-    return [r[4] for r in records]
-
-
 @dataclass(frozen=True)
 class TrajectoryPoint:
     time: float
     record: FiringRecord | None
     marking: Marking
-
-
-def simulate(net: DeliveryNet, schedule: Sequence[FiringRecord],
-             initial: Marking) -> list[TrajectoryPoint]:
-    """Replay a scheduled event list, one firing record per step.
-
-    Returns the marking after every applied event, preceded by the
-    initial marking at time zero. Any infeasible firing aborts with the
-    offending event's time and transition.
-    """
-    trajectory = [TrajectoryPoint(0.0, None, initial)]
-    marking = initial
-    zero = np.zeros(net.n_transitions, dtype=int)
-    for record in schedule:
-        pulse = zero.copy()
-        pulse[record.psi] = 1
-        u_minus = pulse if record.kind is FiringKind.START else zero
-        u_plus = pulse if record.kind is FiringKind.COMPLETE else zero
-        try:
-            marking = step(net, marking, u_minus, u_plus)
-        except NotEnabledError as exc:
-            raise SimulationError(
-                f"at t={record.time}, transition {record.psi} "
-                f"({record.kind.value}): {exc}") from exc
-        trajectory.append(TrajectoryPoint(record.time, record, marking))
-    return trajectory
-
-
-def cumulative_cost(costs: np.ndarray,
-                    records: Iterable[FiringRecord],
-                    ) -> list[tuple[float, float]]:
-    """Staircase of cumulative operating cost over time.
-
-    Cost accrues when a transition completes; starts are free. The series
-    opens at zero so it is plot-ready even for an empty history.
-    """
-    costs = np.asarray(costs, dtype=float)
-    series = [(0.0, 0.0)]
-    total = 0.0
-    for record in records:
-        if record.kind is FiringKind.COMPLETE:
-            total += float(costs[record.psi])
-            series.append((record.time, total))
-    return series

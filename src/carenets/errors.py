@@ -35,7 +35,18 @@ class AmbiguousHealthEventError(CareNetsError):
 
 
 class SimulationError(CareNetsError):
-    """An event could not be applied; the message carries time and context."""
+    """An event could not be applied. From the co-simulation kernel,
+    ``time``, ``net`` (``delivery`` or ``health:<id>``), ``label`` and
+    ``individual`` name the event; the message carries them too."""
+
+    def __init__(self, message: str, time: float | None = None,
+                 net: str | None = None, label: str | None = None,
+                 individual: str | None = None):
+        super().__init__(message)
+        self.time = time
+        self.net = net
+        self.label = label
+        self.individual = individual
 
 
 class ScenarioError(CareNetsError):

@@ -256,41 +256,3 @@ def apply_completion(net: HealthNet, marking: HealthMarking, event: int,
     event_mass = marking.event_mass.copy()
     event_mass[event] -= magnitude
     return HealthMarking(state_mass, event_mass)
-
-
-@dataclass(frozen=True)
-class HealthFiringRecord:
-    event: int
-    time: float
-    magnitude: float
-    realized_state: int | None
-
-
-def fire_stochastic(net: HealthNet, marking: HealthMarking, event: int,
-                    rng: np.random.Generator | None = None,
-                    outcome: int | None = None,
-                    time: float = 0.0,
-                    ) -> tuple[HealthMarking, HealthFiringRecord]:
-    """Fire a spontaneous health event atomically (start plus completion).
-
-    Without a generator the event replays: it moves its full enabled mass,
-    spread over the declared branches unless ``outcome`` names the
-    realized one. With a generator it samples: one unit of mass moves
-    along a single drawn branch.
-    """
-    ev = net.events[event]
-    if not ev.is_stochastic:
-        raise ValidationError(
-            f"event {ev.name!r} is induced by the delivery system and "
-            f"cannot fire spontaneously")
-    magnitude = 1.0 if rng is not None else enabled_magnitude(
-        net, marking, event)
-    if magnitude <= ENABLE_TOL:
-        raise NotEnabledError(f"health event {ev.name!r} is not enabled")
-
-    pulse = np.zeros(net.n_events)
-    pulse[event] = magnitude
-    started = fuzzy_step(net, marking, pulse, np.zeros(net.n_events))
-    column, realized = resolve_output(net, event, outcome=outcome, rng=rng)
-    completed = apply_completion(net, started, event, column, magnitude)
-    return completed, HealthFiringRecord(event, time, magnitude, realized)

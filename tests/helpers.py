@@ -11,7 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from carenets.delivery import DeliveryNet, FiringKind, FiringRecord, Marking
+from carenets.coordination import (DeliveryAction, Individual, RunResult,
+                                   build_feasibility,
+                                   build_transform_selector, cosimulate)
+from carenets.delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
+                               step)
 from carenets.health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
 from carenets.structure import (BoolMatrix, Process, Resource, ResourceClass,
                                 StructuralModel)
@@ -147,6 +151,60 @@ def random_feasible_schedule(rng: np.random.Generator, net: DeliveryNet,
         t = max(t, done) + 0.25
         records.append(FiringRecord(psi, FiringKind.COMPLETE, t))
     return records
+
+
+def step_replay(net: DeliveryNet, records: list[FiringRecord],
+                initial: Marking) -> list[Marking]:
+    """Markings after applying each start/complete record with ``step``,
+    preceded by ``initial``."""
+    markings = [initial]
+    for record in records:
+        pulse = np.zeros(net.n_transitions, dtype=int)
+        pulse[record.psi] = 1
+        if record.kind is FiringKind.START:
+            markings.append(step(net, markings[-1], pulse, 0 * pulse))
+        else:
+            markings.append(step(net, markings[-1], 0 * pulse, pulse))
+    return markings
+
+
+def bystander(model: StructuralModel) -> Individual:
+    """Individual "p" that can engage in any delivery schedule: one health
+    state and, per transformation process, a zero-duration induced event
+    that leaves the state unchanged."""
+    names = [p.name for p in model.transformation_processes]
+    loops = np.ones((1, len(names)))
+    net = HealthNet(("well",),
+                    tuple(HealthEvent(i, f"undergo {name}",
+                                      HealthEventKind.INDUCED,
+                                      realized_by=(name,))
+                          for i, name in enumerate(names)),
+                    loops, loops, np.ones(1))
+    return Individual("p", net, HealthMarking.point(net, 0),
+                      build_feasibility(net, names))
+
+
+def run_starts(model: StructuralModel, net: DeliveryNet, initial: Marking,
+               starts: list[tuple[float, int]]) -> RunResult:
+    """Run delivery starts ``(time, psi)`` through the co-simulation
+    kernel, every one engaging the :func:`bystander`."""
+    return cosimulate(net, initial, [bystander(model)],
+                      build_transform_selector(model),
+                      [DeliveryAction(t, psi, "p") for t, psi in starts])
+
+
+def run_health_actions(net: HealthNet, marking: HealthMarking, actions,
+                       mode: str = "replay", seed: int = 0) -> RunResult:
+    """Run scheduled health actions of one individual "p" through the
+    co-simulation kernel, next to a delivery net with no transitions."""
+    delivery = DeliveryNet(("home",), (), np.zeros((1, 0), dtype=int),
+                           np.zeros((1, 0), dtype=int), np.zeros(0),
+                           np.zeros(0), np.zeros(0, dtype=int))
+    individual = Individual("p", net, marking,
+                            np.zeros((net.n_events, 0), dtype=int))
+    return cosimulate(delivery, Marking.initial(delivery, [1]), [individual],
+                      np.zeros((0, 0), dtype=int), [], actions, mode=mode,
+                      seed=seed)
 
 
 def random_health_net(rng: np.random.Generator,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from carenets.cli import main
 
 from helpers import ACUTE, CHRONIC
@@ -89,6 +91,18 @@ class TestSimulateCommand:
         assert main(["simulate", str(CHRONIC), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert read(out) == "keep me"
+
+    @pytest.mark.parametrize("flags", [["--mode", "sample", "--seed", "-1"],
+                                       ["--runs", "0"], ["--runs", "-3"]])
+    def test_out_of_range_count_exits_two(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", str(ACUTE), "--out", str(out), *flags])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[-2]}: must be at least" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_runs_flag_merges_statistics(self, tmp_path):
         out = tmp_path / "mc"

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carenets.cli import main
 from carenets.coordination import (DeliveryAction, HealthAction, Individual,
                                    build_feasibility,
                                    build_transform_selector, cosimulate,
                                    induce_health_firing, system_firing)
-from carenets.delivery import DeliveryNet, Marking, build_schedule
+from carenets.delivery import DeliveryNet, Marking
 from carenets.errors import (AmbiguousHealthEventError, CapacityError,
                              InfeasibleCareActionError, SimulationError,
                              ValidationError)
@@ -18,7 +21,7 @@ from carenets.scenario import compile_scenario, load_scenario_data
 from carenets.structure import (Process, Resource, ResourceClass,
                                 StructuralModel)
 
-from helpers import ACUTE
+from helpers import ACUTE, run_starts
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
@@ -82,10 +85,37 @@ class TestSystemFiring:
         engagement[3, 1] = 1
         assert system_firing(engagement).tolist() == [1, 0, 0, 1]
 
+    @pytest.mark.parametrize("name", ["acute", "chronic"])
+    def test_summed_engagements_equal_completion_counts(self, request,
+                                                        name):
+        compiled = request.getfixturevalue(name)
+        result = compiled.run(mode="replay")
+        col = {ind.id: i for i, ind in enumerate(compiled.individuals)}
+        engagement = np.zeros((compiled.net.n_transitions,
+                               len(col)), dtype=int)
+        for check in result.coupling_checks:
+            engagement[check.psi, col[check.individual]] += 1
+        assert np.array_equal(system_firing(engagement),
+                              result.completion_counts)
+
     def test_capacity_violation(self):
-        engagement = np.ones((1, 2), dtype=int)
-        with pytest.raises(CapacityError):
-            system_firing(engagement, capacities=np.array([1]))
+        # two individuals engaging a capacity-1 transition at one instant:
+        # the system firing exceeds the capacity, and the kernel rejects it
+        _, net, individual, selector, _, dofs = cosim_setup()
+        two = Individual("p2", individual.net, individual.initial,
+                         individual.feasibility)
+        engagement = np.zeros((net.n_transitions, 2), dtype=int)
+        engagement[dofs["enter"], :] = 1
+        assert (system_firing(engagement)[dofs["enter"]]
+                > net.capacities[dofs["enter"]])
+        actions = [DeliveryAction(1.0, dofs["enter"], "p1"),
+                   DeliveryAction(1.0, dofs["enter"], "p2")]
+        with pytest.raises(SimulationError) as err:
+            cosimulate(net, Marking.initial(net, [0, 2]),
+                       [individual, two], selector, actions, [])
+        assert "capacity" in str(err.value)
+        assert (err.value.time, err.value.individual) == (1.0, "p2")
+        assert isinstance(err.value.__cause__, CapacityError)
 
 
 class TestFeasibility:
@@ -118,31 +148,31 @@ class TestInducedFiring:
         self.therapy_dof = self.model.dof_index[(0, 0)]
 
     def engagement(self, psi):
-        engagement = np.zeros((4, 1), dtype=int)
-        engagement[psi, 0] = 1
+        engagement = np.zeros(4, dtype=int)
+        engagement[psi] = 1
         return engagement
 
     def test_condition_selects_the_matching_event(self):
         marking = HealthMarking.point(self.hnet, "condition y")
         u_l = induce_health_firing(self.feas, self.selector,
-                                   self.engagement(self.therapy_dof), 0,
+                                   self.engagement(self.therapy_dof),
                                    self.hnet, marking)
         assert u_l.tolist() == [0, 0, 1]
-        rhs = self.selector @ self.engagement(self.therapy_dof)[:, 0]
+        rhs = self.selector @ self.engagement(self.therapy_dof)
         assert np.array_equal(self.feas.T @ u_l, rhs)
 
     def test_no_engagement_fires_nothing(self):
         marking = HealthMarking.point(self.hnet, "well")
         u_l = induce_health_firing(self.feas, self.selector,
-                                   np.zeros((4, 1), dtype=int), 0,
-                                   self.hnet, marking)
+                                   np.zeros(4, dtype=int), self.hnet,
+                                   marking)
         assert u_l.tolist() == [0, 0, 0]
 
     def test_nothing_enabled_is_infeasible(self):
         marking = HealthMarking.point(self.hnet, "well")
         with pytest.raises(InfeasibleCareActionError):
             induce_health_firing(self.feas, self.selector,
-                                 self.engagement(self.therapy_dof), 0,
+                                 self.engagement(self.therapy_dof),
                                  self.hnet, marking)
 
     def test_two_enabled_candidates_is_ambiguous(self):
@@ -150,7 +180,7 @@ class TestInducedFiring:
             self.hnet, {"condition x": 1.0, "condition y": 1.0})
         with pytest.raises(AmbiguousHealthEventError):
             induce_health_firing(self.feas, self.selector,
-                                 self.engagement(self.therapy_dof), 0,
+                                 self.engagement(self.therapy_dof),
                                  self.hnet, marking)
 
     def test_acute_surgery_maps_to_single_event(self, acute):
@@ -160,10 +190,10 @@ class TestInducedFiring:
         psi = next(i for i, (w, _) in enumerate(model.dof_list)
                    if w == surgery.id)
         marking = HealthMarking.point(individual.net, "mobility supported")
-        engagement = np.zeros((model.dof_count, 1), dtype=int)
-        engagement[psi, 0] = 1
+        engagement = np.zeros(model.dof_count, dtype=int)
+        engagement[psi] = 1
         u_l = induce_health_firing(individual.feasibility, acute.selector,
-                                   engagement, 0, individual.net, marking)
+                                   engagement, individual.net, marking)
         fired = [individual.net.events[i].name
                  for i in np.nonzero(u_l)[0]]
         assert fired == ["Reconstruct ACL"]
@@ -176,10 +206,10 @@ class TestInducedFiring:
         psi = next(i for i, (w, _) in enumerate(model.dof_list)
                    if w == therapy.id)
         marking = HealthMarking.point(individual.net, "near-total resection")
-        engagement = np.zeros((model.dof_count, 1), dtype=int)
-        engagement[psi, 0] = 1
+        engagement = np.zeros(model.dof_count, dtype=int)
+        engagement[psi] = 1
         u_l = induce_health_firing(individual.feasibility, chronic.selector,
-                                   engagement, 0, individual.net, marking)
+                                   engagement, individual.net, marking)
         fired = [individual.net.events[i].name for i in np.nonzero(u_l)[0]]
         assert fired == ["Treat residual disease after near-total resection"]
 
@@ -265,11 +295,18 @@ class TestCosimulate:
         assert treated == 1.0
 
     def test_replay_infeasible_therapy_aborts_with_context(self):
-        _, net, individual, selector, initial, dofs = cosim_setup()
+        _, net, individual, selector, _, dofs = cosim_setup()
+        # in the clinic, but well: neither therapy event is enabled
+        in_clinic = Marking.initial(net, [1, 0])
         actions = [DeliveryAction(1.0, dofs["therapy"], "p1")]
         with pytest.raises(SimulationError) as err:
-            cosimulate(net, initial, [individual], selector, actions, [])
-        assert "t=1.0" in str(err.value)
+            cosimulate(net, in_clinic, [individual], selector, actions, [])
+        assert str(err.value).startswith("at t=1.0")
+        assert "'p1'" in str(err.value)
+        assert (err.value.time, err.value.net, err.value.label,
+                err.value.individual) == (1.0, "delivery",
+                                          "therapy @ clinic", "p1")
+        assert isinstance(err.value.__cause__, InfeasibleCareActionError)
 
     def test_capacity_bounds_concurrent_tokens(self):
         _, net, individual, selector, _, dofs = cosim_setup()
@@ -282,6 +319,7 @@ class TestCosimulate:
             cosimulate(net, initial, [individual, two], selector, actions,
                        [])
         assert "capacity" in str(err.value)
+        assert (err.value.time, err.value.individual) == (1.1, "p2")
 
     def test_two_individuals_with_capacity_room(self):
         model, net0 = care_system()
@@ -325,6 +363,15 @@ class TestCosimulate:
             cosimulate(net, initial, [individual], selector, [],
                        [HealthAction(1.0, "p1", (0, 0))])
 
+    def test_schedule_without_transformation_processes(self):
+        model = StructuralModel.build([Resource(0, "lab", M)],
+                                      [Process(0, "test", M)], [(0, 0)])
+        net = DeliveryNet.from_model(model, [1.0], [20.0])
+        result = run_starts(model, net, Marking.initial(net, [1]),
+                            [(0.0, 0), (2.0, 0)])
+        assert [check.residual for check in result.coupling_checks] == [0, 0]
+        assert result.cost_series[-1] == (3.0, 40.0)
+
     def test_induced_event_cannot_be_scheduled(self):
         _, net, individual, selector, initial, _ = cosim_setup()
         with pytest.raises(SimulationError) as err:
@@ -344,12 +391,10 @@ class TestZeroDuration:
 
         delivery = [(row.time, row.index, row.kind) for row in result.trace
                     if row.net == "delivery"]
-        starts = [(a.time, a.psi) for a in compiled.delivery_actions]
-        expected = [(r.time, r.psi, r.kind.value)
-                    for r in build_schedule(starts, compiled.net)]
-        assert delivery == expected
-        assert delivery[1::2] == [(t, psi, "complete")
-                                  for t, psi, _ in delivery[0::2]]
+        starts = sorted(((a.time, a.psi) for a in compiled.delivery_actions),
+                        key=lambda start: start[0])
+        assert delivery[0::2] == [(t, psi, "start") for t, psi in starts]
+        assert delivery[1::2] == [(t, psi, "complete") for t, psi in starts]
         assert result.final_marking.busy_tokens.sum() == 0
 
         out = tmp_path / "run"
@@ -362,3 +407,76 @@ def _write(tmp_path, data):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+def _shifted(compiled, stretch, squeezed, zeroed):
+    """The compiled scenario's schedule, order kept, with the gap before
+    its k-th entry in time order multiplied by ``stretch[k]`` (or by 0
+    for k in ``squeezed``), and the delivery durations at ``zeroed`` set
+    to 0."""
+    actions = sorted([*compiled.delivery_actions, *compiled.health_actions],
+                     key=lambda action: action.time)
+    gaps = np.diff([0.0] + [action.time for action in actions])
+    factors = [0.0 if k in squeezed else f
+               for k, f in enumerate(stretch[:len(actions)])]
+    times = np.cumsum(gaps * factors)
+    shifted = [dataclasses.replace(action, time=float(t))
+               for action, t in zip(actions, times)]
+    durations = compiled.net.durations.copy()
+    durations[[psi for psi in zeroed if psi < len(durations)]] = 0.0
+    net = dataclasses.replace(compiled.net, durations=durations)
+    delivery = [a for a in shifted if isinstance(a, DeliveryAction)]
+    health = [a for a in shifted if isinstance(a, HealthAction)]
+    return net, delivery, health
+
+
+def _run(compiled, net, delivery, health, mode):
+    try:
+        return cosimulate(net, compiled.initial, compiled.individuals,
+                          compiled.selector, delivery, health, mode=mode,
+                          seed=3)
+    except SimulationError as exc:
+        return exc
+
+
+def _assert_invariants(compiled, net, result):
+    totals = {point.marking.total for point in result.delivery_trajectory}
+    assert totals == {compiled.initial.total}
+    assert all(abs(total - 1.0) <= 1e-9
+               for _, _, total in result.mass_checks)
+    assert all(check.residual == 0 for check in result.coupling_checks)
+    assert result.cost_series[-1][1] == float(
+        net.costs @ result.completion_counts)
+    assert result.final_marking.busy_tokens.sum() == 0
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic"])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stretch=st.lists(st.floats(1.0, 4.0), min_size=40, max_size=40),
+       squeezed=st.sets(st.integers(1, 26), max_size=2),
+       zeroed=st.sets(st.integers(0, 35)))
+def test_kernel_invariants_on_shifted_schedules(request, name, stretch,
+                                                squeezed, zeroed):
+    compiled = request.getfixturevalue(name)
+    net, delivery, health = _shifted(compiled, stretch, squeezed, zeroed)
+    replay = _run(compiled, net, delivery, health, "replay")
+    if not isinstance(replay, SimulationError):
+        _assert_invariants(compiled, net, replay)
+    else:
+        # stretched gaps and zero durations only bring tokens and mass
+        # back earlier, so only a squeezed schedule may become infeasible
+        assert squeezed, replay
+    first, second = (_run(compiled, net, delivery, health, "sample")
+                     for _ in range(2))
+    if isinstance(first, SimulationError):
+        assert str(first) == str(second)
+        return
+    _assert_invariants(compiled, net, first)
+    assert first.trace == second.trace
+    assert first.cost_series == second.cost_series
+    assert first.outcome_series == second.outcome_series
+    assert first.mass_checks == second.mass_checks
+    assert all(np.array_equal(first.final_health[i].state_mass,
+                              second.final_health[i].state_mass)
+               for i in first.final_health)

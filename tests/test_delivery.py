@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from carenets.delivery import (DeliveryNet, FiringKind, FiringRecord,
-                               Marking, build_incidence_aggregated,
+from carenets.delivery import (DeliveryNet, FiringKind, Marking,
+                               build_incidence_aggregated,
                                build_incidence_in, build_incidence_out,
-                               build_schedule, cumulative_cost, simulate,
                                step)
 from carenets.errors import (NotEnabledError, SimulationError,
                              ValidationError)
@@ -12,7 +13,8 @@ from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
                                 ResourceClass, StructuralModel)
 
 from helpers import (oracle_incidence, random_delivery_net,
-                     random_feasible_schedule, random_model)
+                     random_feasible_schedule, random_model, run_starts,
+                     step_replay)
 
 F = ResourceClass.TRANSFORMATION
 M = ResourceClass.MEASUREMENT
@@ -164,33 +166,32 @@ class TestStep:
 
 class TestSchedule:
     def test_pairs_and_ordering(self):
-        _, net = two_place_net()
-        records = build_schedule([(0.0, 1), (0.5, 0)], net)
-        assert [(r.psi, r.kind, r.time) for r in records] == [
-            (1, FiringKind.START, 0.0),
-            (1, FiringKind.COMPLETE, 0.5),
-            (0, FiringKind.START, 0.5),
-            (0, FiringKind.COMPLETE, 1.5)]
+        model, net = two_place_net()
+        enter, treat = model.dof_index[(1, 2)], model.dof_index[(0, 0)]
+        result = run_starts(model, net, Marking.initial(net, [0, 1]),
+                            [(0.0, enter), (0.5, treat)])
+        # the token entering at 0.5 is in the clinic for the start at 0.5
+        assert [(row.index, row.kind, row.time) for row in result.trace
+                if row.net == "delivery"] == [
+            (enter, "start", 0.0),
+            (enter, "complete", 0.5),
+            (treat, "start", 0.5),
+            (treat, "complete", 1.5)]
 
     def test_zero_duration_complete_follows_its_start(self):
         model = self_loop_model()
         net = DeliveryNet.from_model(model, [0.0], [0.0])
-        records = build_schedule([(1.0, 0), (1.0, 0)], net)
-        kinds = [r.kind for r in records]
-        assert kinds == [FiringKind.START, FiringKind.COMPLETE,
-                         FiringKind.START, FiringKind.COMPLETE]
-
-    def test_negative_time_rejected(self):
-        _, net = two_place_net()
-        with pytest.raises(ValidationError):
-            build_schedule([(-1.0, 0)], net)
+        result = run_starts(model, net, Marking.initial(net, [1]),
+                            [(1.0, 0), (1.0, 0)])
+        kinds = [row.kind for row in result.trace if row.net == "delivery"]
+        assert kinds == ["start", "complete", "start", "complete"]
 
 
 class TestSimulate:
     def test_empty_schedule(self):
-        _, net = two_place_net()
+        model, net = two_place_net()
         marking = Marking.initial(net, [1, 0])
-        trajectory = simulate(net, [], marking)
+        trajectory = run_starts(model, net, marking, []).delivery_trajectory
         assert len(trajectory) == 1
         assert trajectory[0].time == 0.0
         assert trajectory[0].marking is marking
@@ -198,10 +199,13 @@ class TestSimulate:
     def test_infeasible_schedule_reports_context(self):
         model, net = two_place_net()
         enter = model.dof_index[(1, 2)]
-        schedule = build_schedule([(2.0, enter)], net)
         with pytest.raises(SimulationError) as err:
-            simulate(net, schedule, Marking.initial(net, [1, 0]))
+            run_starts(model, net, Marking.initial(net, [1, 0]),
+                       [(2.0, enter)])
         assert "t=2.0" in str(err.value)
+        assert (err.value.time, err.value.net, err.value.label) == \
+            (2.0, "delivery", net.transitions[enter].label)
+        assert isinstance(err.value.__cause__, NotEnabledError)
 
     def test_token_conservation_on_random_walks(self):
         rng = np.random.default_rng(41)
@@ -215,9 +219,9 @@ class TestSimulate:
             if not records:
                 continue
             done += 1
-            trajectory = simulate(net, records, initial)
-            totals = {point.marking.total for point in trajectory}
-            assert totals == {initial.total}
+            markings = step_replay(net, records, initial)
+            assert {marking.total for marking in markings} == \
+                {initial.total}
 
     def test_replay_matches_walk_final_state(self):
         rng = np.random.default_rng(43)
@@ -226,42 +230,52 @@ class TestSimulate:
             tokens = np.ones(net.n_places, dtype=int)
             initial = Marking.initial(net, tokens)
             records = random_feasible_schedule(rng, net, initial, length=12)
-            trajectory = simulate(net, records, initial)
+            markings = step_replay(net, records, initial)
             starts = sum(1 for r in records if r.kind is FiringKind.START)
             completes = len(records) - starts
             assert starts == completes
-            assert trajectory[-1].marking.busy_tokens.sum() == 0
+            assert markings[-1].busy_tokens.sum() == 0
 
 
 class TestCumulativeCost:
     def test_zero_costs_stay_zero(self):
-        _, net = two_place_net()
-        records = build_schedule([(0.0, 1), (1.0, 0), (3.0, 2)], net)
-        series = cumulative_cost(np.zeros(3), records)
-        assert all(cost == 0.0 for _, cost in series)
-        assert len(series) == 4
+        model, net = two_place_net()
+        net = dataclasses.replace(net, costs=np.zeros(3))
+        enter, treat, exit_ = (model.dof_index[(1, 2)],
+                               model.dof_index[(0, 0)],
+                               model.dof_index[(2, 2)])
+        result = run_starts(model, net, Marking.initial(net, [0, 1]),
+                            [(0.0, enter), (1.0, treat), (3.0, exit_)])
+        assert all(cost == 0.0 for _, cost in result.cost_series)
+        assert len(result.cost_series) == 4
 
     def test_repeated_firing_is_linear(self):
         model = self_loop_model()
         net = DeliveryNet.from_model(model, [1.0], [42.0])
         starts = [(float(2 * k), 0) for k in range(5)]
-        records = build_schedule(starts, net)
-        series = cumulative_cost(net.costs, records)
-        assert series[-1][1] == 5 * 42.0
+        result = run_starts(model, net, Marking.initial(net, [1]), starts)
+        assert result.cost_series[-1][1] == 5 * 42.0
 
     def test_non_decreasing_and_total(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
-            net = random_delivery_net(rng)
+            model = random_model(rng)
+            net = random_delivery_net(rng, model)
+            # the walk holds tokens longer than the kernel and ignores
+            # capacities, so lift them
+            net = dataclasses.replace(
+                net, capacities=np.full(net.n_transitions, 1000))
             tokens = np.ones(net.n_places, dtype=int)
             initial = Marking.initial(net, tokens)
             records = random_feasible_schedule(rng, net, initial)
-            series = cumulative_cost(net.costs, records)
-            values = [cost for _, cost in series]
+            starts = [(r.time, r.psi) for r in records
+                      if r.kind is FiringKind.START]
+            result = run_starts(model, net, initial, starts)
+            values = [cost for _, cost in result.cost_series]
             assert values == sorted(values)
             counts = np.zeros(net.n_transitions)
-            for record in records:
-                if record.kind is FiringKind.COMPLETE:
-                    counts[record.psi] += 1
+            for _, psi in starts:
+                counts[psi] += 1
+            assert np.array_equal(result.completion_counts, counts)
             assert values[-1] == pytest.approx(float(net.costs @ counts),
                                                abs=0)

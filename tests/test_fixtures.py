@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from carenets.health import HealthEventKind, fire_stochastic, HealthMarking
+from carenets.coordination import HealthAction
+from carenets.health import HealthEventKind, HealthMarking
+
+from helpers import run_health_actions
 
 
 class TestAcuteFixture:
@@ -102,15 +105,16 @@ class TestChronicFixture:
         events[therapy] = spontaneous
         variant = net.__class__(net.state_names, tuple(events), net.m_minus,
                                 net.m_plus, net.values)
-        rng = np.random.default_rng(88)
         counts = {}
         n = 4000
-        for _ in range(n):
+        for seed in range(n):
             marking = HealthMarking.point(variant, "near-total resection")
-            after, record = fire_stochastic(variant, marking, therapy,
-                                            rng=rng)
-            counts[record.realized_state] = \
-                counts.get(record.realized_state, 0) + 1
-            assert after.state_mass[record.realized_state] == 1.0
+            result = run_health_actions(variant, marking,
+                                        [HealthAction(0.0, "p", (therapy,))],
+                                        mode="sample", seed=seed)
+            after = result.final_health["p"].state_mass
+            (realized,) = np.nonzero(after)[0]
+            counts[int(realized)] = counts.get(int(realized), 0) + 1
+            assert after[realized] == 1.0
         for state, count in counts.items():
             assert abs(count / n - 0.25) < 0.03

@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
 
-from carenets.delivery import DeliveryNet, Marking, step
-from carenets.errors import NotEnabledError, ValidationError
+from carenets.coordination import HealthAction
+from carenets.delivery import Marking, step
+from carenets.errors import NotEnabledError, SimulationError, ValidationError
 from carenets.health import (HealthEvent, HealthEventKind, HealthMarking,
                              HealthNet, apply_completion, check_unit_mass,
-                             enabled_magnitude, fire_stochastic, fuzzy_step,
-                             health_outcome, resolve_output, sample_branch)
+                             enabled_magnitude, fuzzy_step, health_outcome,
+                             resolve_output, sample_branch)
 
 from helpers import (random_delivery_net, random_feasible_schedule,
-                     random_health_net, random_health_walk)
+                     random_health_net, random_health_walk,
+                     run_health_actions)
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
 
 
-def resection_net():
+def resection_net(kind=INDUCED):
     """Four states, one branching event with equal outcome weights."""
     states = ("sick", "good outcome", "fair outcome", "poor outcome")
-    events = (HealthEvent(0, "operate", INDUCED, realized_by=("surgery",)),)
+    events = (HealthEvent(0, "operate", kind,
+                          realized_by=("surgery",) if kind is INDUCED
+                          else ()),)
     m_minus = np.array([[1.0], [0.0], [0.0], [0.0]])
     third = 1.0 / 3.0
     m_plus = np.array([[0.0], [third], [third], [third]])
@@ -146,23 +150,28 @@ class TestStochasticFiring:
     def test_induced_event_rejected(self):
         net = resection_net()
         marking = HealthMarking.point(net, "sick")
-        with pytest.raises(ValidationError):
-            fire_stochastic(net, marking, 0)
+        with pytest.raises(SimulationError) as err:
+            run_health_actions(net, marking, [HealthAction(0.0, "p", (0,))])
+        assert "cannot be scheduled directly" in str(err.value)
 
     def test_replay_moves_full_mass_over_branches(self):
-        net = chain_net()
-        marking = HealthMarking.point(net, "a")
-        after, record = fire_stochastic(net, marking, 0, time=4.0)
-        assert after.state_mass.tolist() == [0.0, 1.0, 0.0]
-        assert record.magnitude == 1.0
-        assert record.time == 4.0
+        net = resection_net(STOCH)
+        marking = HealthMarking.point(net, "sick")
+        result = run_health_actions(net, marking,
+                                    [HealthAction(4.0, "p", (0,))])
+        assert result.final_health["p"].state_mass.tolist() == \
+            pytest.approx([0.0, 1 / 3, 1 / 3, 1 / 3])
+        assert [(row.time, row.kind) for row in result.trace] == [
+            (4.0, "start"), (4.0, "complete")]
 
     def test_replay_with_named_outcome(self):
-        net = chain_net()
-        marking = HealthMarking.from_distribution(net, {"a": 0.5, "b": 0.5})
-        after, record = fire_stochastic(net, marking, 0, outcome=1)
-        assert after.state_mass.tolist() == [0.0, 1.0, 0.0]
-        assert record.realized_state == 1
+        net = resection_net(STOCH)
+        marking = HealthMarking.point(net, "sick")
+        result = run_health_actions(net, marking,
+                                    [HealthAction(0.0, "p", (0,),
+                                                  outcome=2)])
+        assert result.final_health["p"].state_mass.tolist() == \
+            [0.0, 0.0, 1.0, 0.0]
 
     def test_outcome_outside_support_rejected(self):
         net = chain_net()
@@ -172,8 +181,10 @@ class TestStochasticFiring:
     def test_not_enabled(self):
         net = chain_net()
         marking = HealthMarking.point(net, "c")
-        with pytest.raises(NotEnabledError):
-            fire_stochastic(net, marking, 0)
+        with pytest.raises(SimulationError) as err:
+            run_health_actions(net, marking, [HealthAction(0.0, "p", (0,))])
+        assert isinstance(err.value.__cause__, NotEnabledError)
+        assert (err.value.net, err.value.label) == ("health:p", "forward")
 
     def test_seeded_draws_are_reproducible(self):
         net = resection_net()
