@@ -13,14 +13,20 @@ When one process realizes several health events, the individual's current
 condition decides: exactly one of the candidates must be enabled under
 the individual's marking. Zero enabled candidates means the care action
 is infeasible; several mean the scenario is ambiguous. Both are errors.
+Each induced event is realized by exactly one process, so the coupling
+identity Fᵀu_L = S·e can hold at every start.
 
 :func:`cosimulate` is the package's one discrete-event kernel. It pops
 four kinds of typed event (delivery start and completion, scheduled health
 action, health completion) from one time-ordered queue and changes
 markings only through :func:`delivery.step` and the :mod:`health`
-primitives. Each start engages one individual, so the kernel works on
-that individual's engagement column; :func:`system_firing` keeps the
-matrix form as a test oracle.
+primitives. The matrix algebra builds and verifies the nets; the kernel
+runs on index tables read off the same matrices once per call: the
+transformation process of each transition (:func:`process_table`) and,
+per individual, the candidate events of each process
+(:func:`candidate_table`), looked up by :func:`induced_event`.
+:func:`induce_health_firing` and :func:`system_firing` keep the matrix
+form as test oracles.
 """
 
 from __future__ import annotations
@@ -73,6 +79,11 @@ def validate_feasibility(matrix: np.ndarray, net: HealthNet) -> None:
             raise ValidationError(
                 f"induced event {ev.name!r} has no realizing "
                 f"transformation process", check="feasibility-tags")
+        if row_sum > 1:
+            raise ValidationError(
+                f"induced event {ev.name!r} is realized by {row_sum} "
+                f"transformation processes; the coupling identity needs "
+                f"exactly one", check="feasibility-tags")
 
 
 def build_transform_selector(model: StructuralModel) -> np.ndarray:
@@ -91,6 +102,26 @@ def system_firing(engagement: np.ndarray) -> np.ndarray:
     return np.asarray(engagement, dtype=int).sum(axis=1)
 
 
+def induced_event(net: HealthNet, marking: HealthMarking, process: int,
+                  candidates: Sequence[int]) -> int:
+    """The one event among ``candidates``, the events transformation
+    process ``process`` realizes, that is enabled under ``marking``."""
+    enabled = [ev for ev in candidates
+               if health.is_enabled(net, marking, ev)]
+    if len(enabled) == 1:
+        return enabled[0]
+    if not enabled:
+        names = [net.events[ev].name for ev in candidates]
+        raise InfeasibleCareActionError(
+            f"transformation process {process} realizes "
+            f"{names or 'no events'} but none is enabled under the "
+            f"individual's current health state")
+    names = [net.events[ev].name for ev in enabled]
+    raise AmbiguousHealthEventError(
+        f"transformation process {process} could realize any of "
+        f"{names}; the scenario must disambiguate")
+
+
 def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
                          engagement: np.ndarray, net: HealthNet,
                          marking: HealthMarking) -> np.ndarray:
@@ -100,31 +131,34 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
     one entry per delivery transition. For every transformation process
     the individual is engaged in, the unique enabled candidate among the
     events it realizes fires. The result is verified to reproduce the
-    engaged transformation counts exactly before it is returned.
+    engaged transformation counts exactly before it is returned. This is
+    the matrix oracle of the kernel's index tables; the kernel does not
+    call it.
     """
     rhs = selector @ np.asarray(engagement, dtype=int)
     u_l = np.zeros(net.n_events, dtype=int)
     for j in np.nonzero(rhs)[0]:
-        candidates = np.nonzero(feasibility[:, j])[0]
-        enabled = [int(x) for x in candidates
-                   if health.is_enabled(net, marking, int(x))]
-        if not enabled:
-            names = [net.events[int(x)].name for x in candidates]
-            raise InfeasibleCareActionError(
-                f"transformation process {j} realizes "
-                f"{names or 'no events'} but none is enabled under the "
-                f"individual's current health state")
-        if len(enabled) > 1:
-            names = [net.events[x].name for x in enabled]
-            raise AmbiguousHealthEventError(
-                f"transformation process {j} could realize any of "
-                f"{names}; the scenario must disambiguate")
-        u_l[enabled[0]] += int(rhs[j])
+        candidates = np.nonzero(feasibility[:, j])[0].tolist()
+        u_l[induced_event(net, marking, int(j), candidates)] += int(rhs[j])
     if not np.array_equal(feasibility.T @ u_l, rhs):
         raise SimulationError(
             "induced firing vector does not reproduce the engaged "
             "transformation counts")
     return u_l
+
+
+def process_table(selector: np.ndarray) -> list[int]:
+    """Transformation process of every delivery transition, or -1: the
+    selector's columns as indices."""
+    return [int(column.argmax()) if column.any() else -1
+            for column in np.asarray(selector).T]
+
+
+def candidate_table(feasibility: np.ndarray) -> list[tuple[int, ...]]:
+    """Health events each transformation process realizes: the
+    feasibility matrix's columns as index tuples."""
+    return [tuple(np.flatnonzero(column).tolist())
+            for column in np.asarray(feasibility).T]
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +195,7 @@ class Individual:
     feasibility: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
     time: float
     net: str
@@ -170,7 +204,7 @@ class TraceRow:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CouplingCheck:
     """Residual of the firing-coupling identity at one start instant."""
 
@@ -268,22 +302,28 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     for action in health_actions:
         push(action.time, FiringKind.START.order, action)
 
+    # Index tables read off the matrices once per call: a start looks up
+    # its process and candidate events instead of multiplying the
+    # selector by an engagement vector and scanning feasibility columns.
+    selector = np.asarray(selector)
+    process_of = process_table(selector)
+    candidates = {ind.id: candidate_table(ind.feasibility)
+                  for ind in individuals}
+    health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
+    labels = [t.label for t in net.transitions]
+    costs = net.costs.tolist()
+    pulses = np.eye(net.n_transitions, dtype=int)
+    pulses.flags.writeable = False
+    zero = np.zeros(net.n_transitions, dtype=int)
+    zero.flags.writeable = False
+    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
+    start, complete = START.value, COMPLETE.value
+    trace = result.trace
+    trajectory = result.delivery_trajectory
+
     marking = initial
     completions = np.zeros(net.n_transitions, dtype=int)
     total_cost = 0.0
-    zero = np.zeros(net.n_transitions, dtype=int)
-
-    def one_hot(psi: int) -> np.ndarray:
-        pulse = zero.copy()
-        pulse[psi] = 1
-        return pulse
-
-    def record_delivery(time: float, psi: int, kind: FiringKind) -> None:
-        result.trace.append(TraceRow(time, "delivery",
-                                     net.transitions[psi].label, psi,
-                                     kind.value))
-        result.delivery_trajectory.append(TrajectoryPoint(
-            time, FiringRecord(psi, kind, time), marking))
 
     def record_outcome(time: float, ind_id: str) -> None:
         result.outcome_series.append(
@@ -294,19 +334,15 @@ def cosimulate(net: DeliveryNet, initial: Marking,
             (time, ind_id, markings[ind_id].total_mass))
 
     def start_health_event(time, ind_id, event, outcome, magnitude):
-        ind = by_id[ind_id]
-        pulse = np.zeros(ind.net.n_events)
-        pulse[event] = magnitude
-        markings[ind_id] = health.fuzzy_step(
-            ind.net, markings[ind_id], pulse, np.zeros(ind.net.n_events))
-        column, _ = health.resolve_output(ind.net, event, outcome=outcome,
+        hnet = by_id[ind_id].net
+        markings[ind_id] = health.start_event(hnet, markings[ind_id], event,
+                                              magnitude)
+        column, _ = health.resolve_output(hnet, event, outcome=outcome,
                                           rng=rng)
-        push(time + ind.net.events[event].duration,
-             FiringKind.COMPLETE.order,
+        push(time + hnet.events[event].duration, COMPLETE.order,
              HealthCompletion(ind_id, event, column, magnitude))
-        result.trace.append(TraceRow(time, f"health:{ind_id}",
-                                     ind.net.events[event].name, event,
-                                     FiringKind.START.value))
+        trace.append(TraceRow(time, health_net[ind_id],
+                              hnet.events[event].name, event, start))
         record_outcome(time, ind_id)
 
     while heap:
@@ -315,50 +351,61 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         try:
             match event:
                 case DeliveryAction(psi=psi):
-                    engagement = one_hot(psi)
-                    marking = step(net, marking, engagement, zero)
+                    marking = step(net, marking, pulses[psi], zero)
                     if marking.busy_tokens[psi] > net.capacities[psi]:
                         raise CapacityError(
-                            f"transition {psi} "
-                            f"({net.transitions[psi].label}) exceeds its "
+                            f"transition {psi} ({labels[psi]}) exceeds its "
                             f"concurrent capacity of "
                             f"{int(net.capacities[psi])}")
-                    record_delivery(time, psi, FiringKind.START)
+                    trace.append(TraceRow(time, "delivery", labels[psi], psi,
+                                          start))
+                    trajectory.append(TrajectoryPoint(
+                        time, FiringRecord(psi, START, time), marking))
 
+                    process = process_of[psi]
+                    if process < 0:
+                        result.coupling_checks.append(
+                            CouplingCheck(time, psi, ind_id, 0))
+                        continue
                     ind = by_id[ind_id]
-                    u_l = induce_health_firing(
-                        ind.feasibility, selector, engagement, ind.net,
-                        markings[ind_id])
-                    residual = ind.feasibility.T @ u_l - selector @ engagement
-                    result.coupling_checks.append(CouplingCheck(
-                        time, psi, ind_id,
-                        int(np.abs(residual).max(initial=0))))
-                    for ev in np.nonzero(u_l)[0]:
-                        start_health_event(time, ind_id, int(ev),
-                                           event.outcome, float(u_l[ev]))
+                    ev = induced_event(ind.net, markings[ind_id], process,
+                                       candidates[ind_id][process])
+                    # Fᵀu_L − S·e for u_L = e_ev and e = e_psi
+                    residual = int(np.abs(ind.feasibility[ev]
+                                          - selector[:, psi]).max(initial=0))
+                    if residual:
+                        raise SimulationError(
+                            "induced firing vector does not reproduce the "
+                            "engaged transformation counts")
+                    result.coupling_checks.append(
+                        CouplingCheck(time, psi, ind_id, residual))
+                    start_health_event(time, ind_id, ev, event.outcome, 1.0)
 
                 case DeliveryCompletion(psi=psi):
-                    marking = step(net, marking, zero, one_hot(psi))
+                    marking = step(net, marking, zero, pulses[psi])
                     completions[psi] += 1
-                    total_cost += float(net.costs[psi])
+                    total_cost += costs[psi]
                     result.cost_series.append((time, total_cost))
-                    record_delivery(time, psi, FiringKind.COMPLETE)
+                    trace.append(TraceRow(time, "delivery", labels[psi], psi,
+                                          complete))
+                    trajectory.append(TrajectoryPoint(
+                        time, FiringRecord(psi, COMPLETE, time), marking))
 
-                case HealthAction(events=candidates):
+                case HealthAction(events=events):
                     hnet = by_id[ind_id].net
-                    for ev in candidates:
+                    for ev in events:
                         if not hnet.events[ev].is_stochastic:
                             raise ValidationError(
                                 f"induced event {hnet.events[ev].name!r} "
                                 f"cannot be scheduled directly")
-                    enabled = [ev for ev in candidates
+                    enabled = [ev for ev in events
                                if health.is_enabled(hnet, markings[ind_id],
                                                     ev)]
                     if not enabled:
                         if event.optional:
                             result.skipped_actions += 1
                             continue
-                        names = [hnet.events[ev].name for ev in candidates]
+                        names = [hnet.events[ev].name for ev in events]
                         raise NotEnabledError(
                             f"none of the scheduled health events {names} "
                             f"is enabled")
@@ -378,20 +425,19 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     hnet = by_id[ind_id].net
                     markings[ind_id] = health.apply_completion(
                         hnet, markings[ind_id], ev, column, magnitude)
-                    result.trace.append(TraceRow(
-                        time, f"health:{ind_id}", hnet.events[ev].name, ev,
-                        FiringKind.COMPLETE.value))
+                    trace.append(TraceRow(time, health_net[ind_id],
+                                          hnet.events[ev].name, ev, complete))
                     record_outcome(time, ind_id)
 
         except CareNetsError as exc:
-            where, events = f"health:{ind_id}", by_id[ind_id].net.events
+            where, names = health_net[ind_id], by_id[ind_id].net.events
             match event:
                 case DeliveryAction(psi=psi) | DeliveryCompletion(psi=psi):
-                    where, label = "delivery", net.transitions[psi].label
-                case HealthAction(events=candidates):
-                    label = " | ".join(events[ev].name for ev in candidates)
+                    where, label = "delivery", labels[psi]
+                case HealthAction(events=events):
+                    label = " | ".join(names[ev].name for ev in events)
                 case HealthCompletion(event=ev):
-                    label = events[ev].name
+                    label = names[ev].name
             raise SimulationError(
                 f"at t={time}, {where} {label!r}, individual {ind_id!r}: "
                 f"{exc}", time=time, net=where, label=label,

@@ -210,7 +210,7 @@ class Marking:
         return int(self.place_tokens.sum() + self.busy_tokens.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FiringRecord:
     psi: int
     kind: FiringKind
@@ -229,14 +229,16 @@ def step(net: DeliveryNet, marking: Marking,
     """
     u_minus = np.asarray(u_minus, dtype=int)
     u_plus = np.asarray(u_plus, dtype=int)
-    if u_minus.shape != (net.n_transitions,) or \
-            u_plus.shape != (net.n_transitions,):
+    shape = (len(net.transitions),)
+    if u_minus.shape != shape or u_plus.shape != shape:
         raise ValidationError("firing vectors must have one entry per "
                               "transition")
 
+    # ndarray.argmin is a C method; min() and any() go through Python
+    # wrappers that cost more than the whole check on vectors this short.
     after_starts = marking.place_tokens - net.m_minus @ u_minus
-    if np.any(after_starts < 0):
-        place = int(np.nonzero(after_starts < 0)[0][0])
+    if after_starts.size and after_starts[after_starts.argmin()] < 0:
+        place = int((after_starts < 0).argmax())
         guilty = [t.psi for t in net.transitions
                   if u_minus[t.psi] > 0 and net.m_minus[place, t.psi] > 0]
         labels = ", ".join(f"{psi} ({net.transitions[psi].label})"
@@ -246,8 +248,8 @@ def step(net: DeliveryNet, marking: Marking,
             f"{net.place_names[place]!r} has no token to consume")
 
     after_completes = marking.busy_tokens - u_plus
-    if np.any(after_completes < 0):
-        psi = int(np.nonzero(after_completes < 0)[0][0])
+    if after_completes.size and after_completes[after_completes.argmin()] < 0:
+        psi = int((after_completes < 0).argmax())
         raise NotEnabledError(
             f"completion without start: transition {psi} "
             f"({net.transitions[psi].label}) holds no token")
@@ -256,7 +258,7 @@ def step(net: DeliveryNet, marking: Marking,
                    after_completes + u_minus)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryPoint:
     time: float
     record: FiringRecord | None

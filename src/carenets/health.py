@@ -210,8 +210,8 @@ def enabled_magnitude(net: HealthNet, marking: HealthMarking,
 
 def is_enabled(net: HealthNet, marking: HealthMarking, event: int,
                magnitude: float = 1.0, tol: float = ENABLE_TOL) -> bool:
-    return bool(np.all(marking.state_mass - net.m_minus[:, event] * magnitude
-                       >= -tol))
+    return bool((marking.state_mass - net.m_minus[:, event] * magnitude)
+                .min(initial=0.0) >= -tol)
 
 
 def sample_branch(net: HealthNet, event: int,
@@ -242,6 +242,21 @@ def resolve_output(net: HealthNet, event: int,
         column[outcome] = 1.0
         return column, outcome
     return net.m_plus[:, event].copy(), None
+
+
+def start_event(net: HealthNet, marking: HealthMarking, event: int,
+                magnitude: float, tol: float = ENABLE_TOL) -> HealthMarking:
+    """Start one event, pulling mass out of its input column: the column
+    form of :func:`fuzzy_step` with a single nonzero start entry."""
+    state_mass = marking.state_mass - net.m_minus[:, event] * magnitude
+    if state_mass.min(initial=0.0) < -tol:
+        state = int(state_mass.argmin())
+        raise NotEnabledError(
+            f"health event {net.events[event].name!r} not enabled: "
+            f"state {net.state_names[state]!r} lacks mass")
+    event_mass = marking.event_mass.copy()
+    event_mass[event] += magnitude
+    return HealthMarking(state_mass, event_mass)
 
 
 def apply_completion(net: HealthNet, marking: HealthMarking, event: int,

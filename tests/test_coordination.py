@@ -1,16 +1,20 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from carenets import coordination, health
 from carenets.cli import main
 from carenets.coordination import (DeliveryAction, HealthAction, Individual,
                                    build_feasibility,
-                                   build_transform_selector, cosimulate,
-                                   induce_health_firing, system_firing)
+                                   build_transform_selector,
+                                   candidate_table, cosimulate,
+                                   induce_health_firing, induced_event,
+                                   process_table, system_firing)
 from carenets.delivery import DeliveryNet, Marking
 from carenets.errors import (AmbiguousHealthEventError, CapacityError,
                              InfeasibleCareActionError, SimulationError,
@@ -212,6 +216,92 @@ class TestInducedFiring:
                                    engagement, individual.net, marking)
         fired = [individual.net.events[i].name for i in np.nonzero(u_l)[0]]
         assert fired == ["Treat residual disease after near-total resection"]
+
+
+def assert_lookup_matches_oracle(net, feasibility, selector, markings):
+    """For every marking and transformation transition, the kernel's
+    table lookup fires the event the matrix oracle fires, or raises the
+    same error. Returns how many lookups fired and how many raised."""
+    process_of = process_table(selector)
+    candidates = candidate_table(feasibility)
+    fired = raised = 0
+    for psi, process in enumerate(process_of):
+        column = np.zeros(selector.shape[0], dtype=int)
+        if process >= 0:
+            column[process] = 1
+        assert np.array_equal(selector[:, psi], column)
+        if process < 0:
+            continue
+        engagement = np.zeros(selector.shape[1], dtype=int)
+        engagement[psi] = 1
+        for marking in markings:
+            try:
+                u_l = induce_health_firing(feasibility, selector, engagement,
+                                           net, marking)
+            except (InfeasibleCareActionError,
+                    AmbiguousHealthEventError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    induced_event(net, marking, process, candidates[process])
+                raised += 1
+                continue
+            event = induced_event(net, marking, process, candidates[process])
+            expected = np.zeros(net.n_events, dtype=int)
+            expected[event] = 1
+            assert np.array_equal(u_l, expected)
+            fired += 1
+    return fired, raised
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("name", ["acute", "chronic"])
+    def test_lookup_matches_oracle_from_every_point_marking(self, request,
+                                                             name):
+        compiled = request.getfixturevalue(name)
+        for individual in compiled.individuals:
+            net = individual.net
+            markings = [HealthMarking.point(net, state)
+                        for state in range(net.n_states)]
+            fired, raised = assert_lookup_matches_oracle(
+                net, individual.feasibility, compiled.selector, markings)
+            assert fired and raised
+
+    def test_lookup_matches_oracle_on_shared_therapy(self):
+        model, _ = care_system()
+        net = branching_health_net()
+        markings = [HealthMarking.point(net, state)
+                    for state in range(net.n_states)]
+        markings.append(HealthMarking.from_distribution(
+            net, {"condition x": 1.0, "condition y": 1.0}))
+        fired, raised = assert_lookup_matches_oracle(
+            net, build_feasibility(net, ["therapy"]),
+            build_transform_selector(model), markings)
+        assert (fired, raised) == (2, 3)
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic"])
+def test_kernel_never_falls_back_to_matrix_oracles(monkeypatch, request,
+                                                   name):
+    compiled = request.getfixturevalue(name)
+    expected = compiled.run(mode="replay")
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the kernel called a matrix oracle")
+
+    monkeypatch.setattr(coordination, "induce_health_firing", oracle)
+    monkeypatch.setattr(coordination, "system_firing", oracle)
+    monkeypatch.setattr(health, "fuzzy_step", oracle)
+    calls = []
+    step = coordination.step
+
+    def counted_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(coordination, "step", counted_step)
+    result = compiled.run(mode="replay")
+    assert len(calls) == 2 * len(compiled.delivery_actions)
+    assert result.trace == expected.trace
+    assert result.coupling_checks == expected.coupling_checks
 
 
 def cosim_setup():

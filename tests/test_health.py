@@ -7,7 +7,7 @@ from carenets.errors import NotEnabledError, SimulationError, ValidationError
 from carenets.health import (HealthEvent, HealthEventKind, HealthMarking,
                              HealthNet, apply_completion, check_unit_mass,
                              enabled_magnitude, fuzzy_step, health_outcome,
-                             resolve_output, sample_branch)
+                             resolve_output, sample_branch, start_event)
 
 from helpers import (random_delivery_net, random_feasible_schedule,
                      random_health_net, random_health_walk,
@@ -118,6 +118,77 @@ class TestFuzzyStep:
                     marking.place_tokens.astype(float), hmarking.state_mass)
                 assert np.array_equal(
                     marking.busy_tokens.astype(float), hmarking.event_mass)
+
+
+def fuzzy_pulse(net, event, magnitude):
+    pulse = np.zeros(net.n_events)
+    pulse[event] = magnitude
+    return pulse
+
+
+def assert_same_marking(a, b):
+    assert np.array_equal(a.state_mass, b.state_mass)
+    assert np.array_equal(a.event_mass, b.event_mass)
+
+
+class TestStartEvent:
+    """``start_event`` and ``apply_completion``, the column forms the
+    kernel uses, against ``fuzzy_step`` with the equivalent vectors."""
+
+    def test_column_form_matches_fuzzy_step_on_random_walks(self):
+        rng = np.random.default_rng(5)
+        steps = 0
+        for _ in range(60):
+            net = random_health_net(rng)
+            marking = HealthMarking.point(net, 0)
+            for u_minus, u_plus in random_health_walk(rng, net, marking):
+                expected = fuzzy_step(net, marking, u_minus, u_plus)
+                if u_minus.any():
+                    (event,) = np.flatnonzero(u_minus)
+                    marking = start_event(net, marking, event,
+                                          u_minus[event])
+                else:
+                    (event,) = np.flatnonzero(u_plus)
+                    marking = apply_completion(net, marking, event,
+                                               net.m_plus[:, event],
+                                               u_plus[event])
+                assert_same_marking(marking, expected)
+                steps += 1
+        assert steps > 300
+
+    @pytest.mark.parametrize("name", ["acute", "chronic"])
+    def test_matches_fuzzy_step_from_every_point_marking(self, request,
+                                                          name):
+        fired = refused = 0
+        for individual in request.getfixturevalue(name).individuals:
+            net = individual.net
+            for state in range(net.n_states):
+                marking = HealthMarking.point(net, state)
+                for event in range(net.n_events):
+                    pulse = fuzzy_pulse(net, event, 1.0)
+                    zero = np.zeros(net.n_events)
+                    try:
+                        expected = fuzzy_step(net, marking, pulse, zero)
+                    except NotEnabledError:
+                        with pytest.raises(NotEnabledError):
+                            start_event(net, marking, event, 1.0)
+                        refused += 1
+                        continue
+                    started = start_event(net, marking, event, 1.0)
+                    assert_same_marking(started, expected)
+                    column, _ = resolve_output(net, event)
+                    assert_same_marking(
+                        apply_completion(net, started, event, column, 1.0),
+                        fuzzy_step(net, expected, zero, pulse))
+                    fired += 1
+        assert fired and refused
+
+    def test_not_enabled_names_event_and_state(self):
+        net = chain_net()
+        with pytest.raises(NotEnabledError) as err:
+            start_event(net, HealthMarking.point(net, "a"), 1, 1.0)
+        assert str(err.value) == \
+            "health event 'onward' not enabled: state 'b' lacks mass"
 
 
 class TestOutcome:

@@ -150,6 +150,30 @@ class TestDefectiveDocuments:
         assert failed == {check: (message,)
                           for check, message in err.value.failures}
 
+    def test_induced_event_with_two_realizers_rejected(self, tmp_path,
+                                                       capsys):
+        # Fᵀu_L would count the event under both processes while S·e
+        # counts only the engaged one, so no run could pass the coupling
+        # check.
+        data = chronic_data()
+        (resect,) = [ev for ev in data["individuals"][0]["health_events"]
+                     if ev["name"] == "Resect tumor"]
+        resect["realized_by"].append(
+            "Perform radiation & chemotherapy treatment")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert [check for check, _ in err.value.failures] == \
+            ["feasibility-tags"]
+        assert "'Resect tumor' is realized by 2" in str(err.value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  feasibility-tags" in capsys.readouterr().out
+        assert main(["dof", str(path)]) == 2
+        assert main(["simulate", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_file_not_utf8_is_a_parse_failure(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
