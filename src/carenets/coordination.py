@@ -102,6 +102,17 @@ def system_firing(engagement: np.ndarray) -> np.ndarray:
     return np.asarray(engagement, dtype=int).sum(axis=1)
 
 
+def check_coupling(realized: np.ndarray, engaged: np.ndarray) -> int:
+    """Largest entry of |Fᵀu_L − S·e|, the coupling residual, given the
+    realized counts Fᵀu_L and the engaged counts S·e; it must be 0."""
+    residual = int(np.abs(realized - engaged).max(initial=0))
+    if residual:
+        raise SimulationError(
+            "induced firing vector does not reproduce the engaged "
+            "transformation counts")
+    return residual
+
+
 def induced_event(net: HealthNet, marking: HealthMarking, process: int,
                   candidates: Sequence[int]) -> int:
     """The one event among ``candidates``, the events transformation
@@ -140,10 +151,7 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
     for j in np.nonzero(rhs)[0]:
         candidates = np.nonzero(feasibility[:, j])[0].tolist()
         u_l[induced_event(net, marking, int(j), candidates)] += int(rhs[j])
-    if not np.array_equal(feasibility.T @ u_l, rhs):
-        raise SimulationError(
-            "induced firing vector does not reproduce the engaged "
-            "transformation counts")
+    check_coupling(feasibility.T @ u_l, rhs)
     return u_l
 
 
@@ -195,8 +203,7 @@ class Individual:
     feasibility: np.ndarray
 
 
-@dataclass(slots=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     time: float
     net: str
     label: str
@@ -204,8 +211,7 @@ class TraceRow:
     kind: str
 
 
-@dataclass(slots=True)
-class CouplingCheck:
+class CouplingCheck(NamedTuple):
     """Residual of the firing-coupling identity at one start instant."""
 
     time: float
@@ -370,13 +376,9 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     ind = by_id[ind_id]
                     ev = induced_event(ind.net, markings[ind_id], process,
                                        candidates[ind_id][process])
-                    # Fᵀu_L − S·e for u_L = e_ev and e = e_psi
-                    residual = int(np.abs(ind.feasibility[ev]
-                                          - selector[:, psi]).max(initial=0))
-                    if residual:
-                        raise SimulationError(
-                            "induced firing vector does not reproduce the "
-                            "engaged transformation counts")
+                    # Fᵀu_L and S·e for u_L = e_ev and e = e_psi
+                    residual = check_coupling(ind.feasibility[ev],
+                                              selector[:, psi])
                     result.coupling_checks.append(
                         CouplingCheck(time, psi, ind_id, residual))
                     start_health_event(time, ind_id, ev, event.outcome, 1.0)

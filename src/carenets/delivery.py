@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,8 +210,7 @@ class Marking:
         return int(self.place_tokens.sum() + self.busy_tokens.sum())
 
 
-@dataclass(slots=True)
-class FiringRecord:
+class FiringRecord(NamedTuple):
     psi: int
     kind: FiringKind
     time: float
@@ -258,8 +257,7 @@ def step(net: DeliveryNet, marking: Marking,
                    after_completes + u_minus)
 
 
-@dataclass(slots=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     time: float
     record: FiringRecord | None
     marking: Marking

@@ -245,11 +245,11 @@ def resolve_output(net: HealthNet, event: int,
 
 
 def start_event(net: HealthNet, marking: HealthMarking, event: int,
-                magnitude: float, tol: float = ENABLE_TOL) -> HealthMarking:
+                magnitude: float) -> HealthMarking:
     """Start one event, pulling mass out of its input column: the column
     form of :func:`fuzzy_step` with a single nonzero start entry."""
     state_mass = marking.state_mass - net.m_minus[:, event] * magnitude
-    if state_mass.min(initial=0.0) < -tol:
+    if state_mass.min(initial=0.0) < -ENABLE_TOL:
         state = int(state_mass.argmin())
         raise NotEnabledError(
             f"health event {net.events[event].name!r} not enabled: "

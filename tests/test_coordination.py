@@ -462,6 +462,26 @@ class TestCosimulate:
         assert [check.residual for check in result.coupling_checks] == [0, 0]
         assert result.cost_series[-1] == (3.0, 40.0)
 
+    def test_coupling_failure_rejected_by_kernel_and_oracle(self):
+        # An unvalidated feasibility entry of 2 counts the induced event
+        # twice against one engagement, so Fᵀu_L ≠ S·e.
+        _, net, individual, selector, _, dofs = cosim_setup()
+        sick = HealthMarking.point(individual.net, "condition x")
+        doubled = dataclasses.replace(
+            individual, initial=sick, feasibility=2 * individual.feasibility)
+        message = ("induced firing vector does not reproduce the engaged "
+                   "transformation counts")
+        engagement = np.zeros(net.n_transitions, dtype=int)
+        engagement[dofs["therapy"]] = 1
+        with pytest.raises(SimulationError, match=message):
+            induce_health_firing(doubled.feasibility, selector, engagement,
+                                 doubled.net, sick)
+        in_clinic = Marking.initial(net, [1, 0])
+        with pytest.raises(SimulationError, match=message) as err:
+            cosimulate(net, in_clinic, [doubled], selector,
+                       [DeliveryAction(1.0, dofs["therapy"], "p1")], [])
+        assert err.value.label == "therapy @ clinic"
+
     def test_induced_event_cannot_be_scheduled(self):
         _, net, individual, selector, initial, _ = cosim_setup()
         with pytest.raises(SimulationError) as err:
