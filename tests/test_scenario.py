@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,175 @@ def test_loader_raises_only_scenario_error(data):
         load_scenario_data(data)
     except ScenarioError:
         pass
+
+
+def _mutate(data, rng: random.Random) -> None:
+    """Apply one to three moves: drop a key or item, repeat a list item,
+    add an unknown key, swap a value for junk, or point a schedule entry
+    at a name nothing declares."""
+    for _ in range(rng.randint(1, 3)):
+        action = rng.choice(["drop", "repeat", "unknown", "junk", "dangle"])
+        if action == "dangle":
+            entry = rng.choice(data["schedule"])
+            if isinstance(entry, dict):
+                key = rng.choice(sorted(entry))
+                entry[key] = rng.choice(["nobody", "Sprout wings", "wings"])
+            continue
+        parent, key, node = None, None, data
+        for _ in range(rng.randint(1, 6)):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = list(node) if isinstance(node, dict) \
+                else list(range(len(node)))
+            parent, key = node, rng.choice(keys)
+            node = parent[key]
+        if parent is None:
+            continue
+        if action == "drop":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.append(copy.deepcopy(node))
+        elif action == "unknown" and isinstance(parent, dict):
+            parent["surprise"] = copy.deepcopy(rng.choice(JUNK))
+        else:
+            parent[key] = copy.deepcopy(rng.choice(JUNK))
+
+
+def _repeats_an_event_name(data) -> bool:
+    """Whether some individual declares two health events of one name,
+    which the loader rejects (see TestDefectiveDocuments)."""
+    individuals = data.get("individuals")
+    for ind in individuals if isinstance(individuals, list) else ():
+        events = ind.get("health_events") if isinstance(ind, dict) else None
+        names = [ev.get("name") for ev in events
+                 if isinstance(ev, dict) and isinstance(ev.get("name"), str)
+                 ] if isinstance(events, list) else []
+        if len(set(names)) != len(names):
+            return True
+    return False
+
+
+PINNED_PER_FIXTURE = 300
+
+
+def pinned_corpus() -> list:
+    """Seeded mutations of both fixtures, the same on every run."""
+    docs = []
+    for load in (acute_data, chronic_data):
+        for seed in range(PINNED_PER_FIXTURE):
+            data = load()
+            _mutate(data, random.Random(seed))
+            if not _repeats_an_event_name(data):
+                docs.append(data)
+    return docs
+
+
+def failures_of(data) -> list:
+    try:
+        load_scenario_data(data)
+    except ScenarioError as exc:
+        return exc.failures
+    return []
+
+
+def outcome_of(data):
+    """The failure list of a rejected document, else its normalized data."""
+    try:
+        return load_scenario_data(data).data
+    except ScenarioError as exc:
+        return exc.failures
+
+
+# SHA-256 of the JSON-dumped outcomes of pinned_corpus(), recorded before
+# the schema was compiled into checkers: every message, its path and its
+# order, and the normalized data of every accepted document, must stay as
+# they were.
+PINNED_DIGEST = ("6a048c1e08108d761cd9147b09340ef9"
+                 "edff5fb1b147955d499008fc773371c4")
+
+
+def test_pinned_failure_lists_unchanged():
+    outcomes = [outcome_of(data) for data in pinned_corpus()]
+    failures = [listed for listed in outcomes if isinstance(listed, list)]
+    assert len(outcomes) // 2 < len(failures) < len(outcomes)
+    assert any(message.startswith("schedule[")
+               for listed in failures for check, message in listed
+               if check == "schedule-references")
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
+
+
+def _set(path, value):
+    def mutate(data):
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        node[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(data):
+        *head, last = path
+        node = data
+        for key in head:
+            node = node[key]
+        del node[last]
+    return mutate
+
+
+_RESECT = ("individuals", 0, "health_events", 2)
+_CLASSES = ("['decision', 'measurement', 'transformation', "
+            "'transportation'], got 'wizard'")
+
+# One exact failure per message form the schema produces.
+MESSAGES = {
+    "scalar": (_set(("schedule", 0, "time"), -1),
+               "schedule[0].time: expected a finite number >= 0, got -1"),
+    "one-of": (_set(("resources", 0, "class"), "wizard"),
+               f"resources[0].class: expected one of {_CLASSES}"),
+    "list": (_set(("notes",), 7), "notes: expected a list, got 7"),
+    "list-item": (_set(("individuals", 0, "health_states", 1), None),
+                  "individuals[0].health_states[1]: expected a string, "
+                  "got null"),
+    "document": (lambda data: [],
+                 "document: expected an object, got a list"),
+    "missing": (_drop(("name",)),
+                "document: missing required key 'name'"),
+    "unknown": (lambda data: data.update(surprise=1, also=2),
+                "document: unknown keys ['also', 'surprise']"),
+    "entry-unknown": (_set(("schedule", 2, "optional"), True),
+                      "schedule[2]: unknown keys ['optional']"),
+    "entry-object": (_set(("schedule", 5), 5),
+                     "schedule[5]: expected an object, got 5"),
+    "needs-one-of": (_drop(("individuals", 0, "initial_state")),
+                     "individuals[0]: needs one of ['initial_state', "
+                     "'initial_marking']"),
+    "branch-list": (_set((*_RESECT, "produces"), []),
+                    "individuals[0].health_events[2].produces: branch "
+                    "list must name states"),
+    "weights-type": (_set((*_RESECT, "consumes"), 3),
+                     "individuals[0].health_events[2].consumes: expected "
+                     "a state, a list of states, or a mapping, got 3"),
+    "weight": (_set((*_RESECT, "consumes"), {"symptomatic tumor": "x"}),
+               "individuals[0].health_events[2].consumes.symptomatic "
+               "tumor: expected a finite number, got 'x'"),
+    "map-value": (_set(("assumed_values", "health_state_values", "patient",
+                        "healthy"), True),
+                  "assumed_values.health_state_values.patient.healthy: "
+                  "expected a finite number, got true"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", MESSAGES.values(),
+                         ids=MESSAGES.keys())
+def test_schema_message(mutate, message):
+    data = chronic_data()
+    replaced = mutate(data)
+    if replaced is not None:
+        data = replaced
+    assert failures_of(data) == [("schema", message)]
 
 
 class TestRoundTrip:
