@@ -69,8 +69,9 @@ def validate_feasibility(matrix: np.ndarray, net: HealthNet) -> None:
     if matrix.shape[0] != net.n_events:
         raise ValidationError("feasibility matrix must have one row per "
                               "health event", check="feasibility-tags")
+    row_sums = matrix.sum(axis=1)
     for ev in net.events:
-        row_sum = int(matrix[ev.index].sum())
+        row_sum = int(row_sums[ev.index])
         if ev.is_stochastic and row_sum:
             raise ValidationError(
                 f"stochastic event {ev.name!r} must have an empty "
@@ -301,12 +302,14 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         if action.individual not in by_id:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
+    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
+    start_order, complete_order = START.order, COMPLETE.order
     for action in delivery_actions:
-        push(action.time, FiringKind.START.order, action)
+        push(action.time, start_order, action)
         done, order = completion_key(action.time, net.durations[action.psi])
         push(done, order, DeliveryCompletion(action.psi, action.individual))
     for action in health_actions:
-        push(action.time, FiringKind.START.order, action)
+        push(action.time, start_order, action)
 
     # Index tables read off the matrices once per call: a start looks up
     # its process and candidate events instead of multiplying the
@@ -316,13 +319,14 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     candidates = {ind.id: candidate_table(ind.feasibility)
                   for ind in individuals}
     health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
+    values = {ind.id: np.asarray(ind.net.values, dtype=float)
+              for ind in individuals}
     labels = [t.label for t in net.transitions]
     costs = net.costs.tolist()
     pulses = np.eye(net.n_transitions, dtype=int)
     pulses.flags.writeable = False
     zero = np.zeros(net.n_transitions, dtype=int)
     zero.flags.writeable = False
-    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
     start, complete = START.value, COMPLETE.value
     trace = result.trace
     trajectory = result.delivery_trajectory
@@ -332,12 +336,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     total_cost = 0.0
 
     def record_outcome(time: float, ind_id: str) -> None:
+        # health.health_outcome without its per-call conversions
+        current = markings[ind_id]
         result.outcome_series.append(
-            (time, ind_id,
-             health.health_outcome(by_id[ind_id].net.values,
-                                   markings[ind_id].state_mass)))
-        result.mass_checks.append(
-            (time, ind_id, markings[ind_id].total_mass))
+            (time, ind_id, float(values[ind_id] @ current.state_mass)))
+        result.mass_checks.append((time, ind_id, current.total_mass))
 
     def start_health_event(time, ind_id, event, outcome, magnitude):
         hnet = by_id[ind_id].net
@@ -345,7 +348,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                               magnitude)
         column, _ = health.resolve_output(hnet, event, outcome=outcome,
                                           rng=rng)
-        push(time + hnet.events[event].duration, COMPLETE.order,
+        push(time + hnet.events[event].duration, complete_order,
              HealthCompletion(ind_id, event, column, magnitude))
         trace.append(TraceRow(time, health_net[ind_id],
                               hnet.events[event].name, event, start))

@@ -45,6 +45,14 @@ class HealthEvent:
         return self.kind is HealthEventKind.STOCHASTIC
 
 
+def _outside_unit(array: np.ndarray) -> bool:
+    """Whether an entry lies below 0 or above 1. ``fmin``/``fmax`` skip
+    NaN, as elementwise comparisons do, and ``initial`` covers an empty
+    array."""
+    return bool(np.fmin.reduce(array, axis=None, initial=0.0) < 0
+                or np.fmax.reduce(array, axis=None, initial=1.0) > 1)
+
+
 @dataclass(frozen=True)
 class HealthNet:
     state_names: tuple[str, ...]
@@ -59,7 +67,7 @@ class HealthNet:
             if mat.shape != (ns, ne):
                 raise ValidationError(f"{name} has shape {mat.shape}, "
                                       f"expected ({ns}, {ne})")
-            if np.any(mat < 0) or np.any(mat > 1):
+            if _outside_unit(mat):
                 raise ValidationError(
                     f"{name} weights must lie in [0, 1]",
                     check="health-event-normalization")
@@ -74,7 +82,7 @@ class HealthNet:
         if self.values.shape != (ns,):
             raise ValidationError("value vector must have one entry per "
                                   "state")
-        if np.any(self.values < 0) or np.any(self.values > 1):
+        if _outside_unit(self.values):
             raise ValidationError("state values must lie in [0, 1]",
                                   check="health-values")
         for ev in self.events:

@@ -10,7 +10,9 @@ section.
 
 Loading checks the parsed JSON against one declarative schema
 (:data:`SCHEMA`), then compiles the normalized data, and reports every
-failure found, not just the first one.
+failure found, not just the first one. The schema is compiled once, at
+import, into checker closures; the path of a failing value (such as
+``schedule[12].time``) is formatted only when a failure is recorded.
 """
 
 from __future__ import annotations
@@ -82,9 +84,16 @@ class _Collector:
 #     marks an optional key and "$any_of" lists keys of which at least one
 #     must appear (compile says which wins when several do);
 #   - (key, node_a, node_b): node_a for an object holding key, else node_b.
+#
+# _checker compiles SCHEMA once, at import, into nested checker closures.
+# A container normalizes its scalar items itself rather than through a
+# checker per item, and passes each container item its path as a
+# (parent path, key) pair; _where formats a path only when a failure is
+# recorded.
 
 _CLASS_NAMES = {c.value: c for c in ResourceClass}
 _CLASSES = set(_CLASS_NAMES)
+_EVENT_KINDS = {k.value: k for k in HealthEventKind}
 _ENTRY = {"time": "time", "individual": "string", "outcome?": "string",
           "note?": "string"}
 
@@ -109,7 +118,7 @@ SCHEMA = {
         "id": "string",
         "health_states": ["string"],
         "health_events?": [{
-            "name": "string", "kind": {k.value for k in HealthEventKind},
+            "name": "string", "kind": set(_EVENT_KINDS),
             "consumes": "weights", "produces": "branches",
             "realized_by?": ["string"], "note?": "string"}],
         "initial_state?": "string",
@@ -175,29 +184,16 @@ _SCALARS = {
 }
 
 
-@dataclass(frozen=True)
-class _Object:
-    fields: dict[str, tuple[Any, bool]]      # key -> (node, required)
-    any_of: tuple[str, ...]
-
-
-def _prepare(node):
-    """Turn the literal schema into walker nodes, once, at import."""
-    if isinstance(node, list):
-        return [_prepare(node[0])]
-    if isinstance(node, tuple):
-        key, with_key, without = node
-        return key, _prepare(with_key), _prepare(without)
-    if isinstance(node, dict) and "*" in node:
-        return {"*": _prepare(node["*"])}
-    if isinstance(node, dict):
-        return _Object({key.rstrip("?"): (_prepare(sub), key[-1] != "?")
-                        for key, sub in node.items() if key != "$any_of"},
-                       node.get("$any_of", ()))
-    return node
-
-
-_ROOT = _prepare(SCHEMA)
+def _where(path) -> str:
+    """Format a path of nested (parent, key) pairs, list indices as
+    ``[i]`` and keys dotted: ``schedule[12].time``; the root is ``""``."""
+    if not path:
+        return ""
+    parent, key = path
+    head = _where(parent)
+    if isinstance(key, int):
+        return f"{head}[{key}]"
+    return f"{head}.{key}" if head else key
 
 
 def _shown(value) -> str:
@@ -211,80 +207,153 @@ def _shown(value) -> str:
     return repr(value)
 
 
-def _weights(value, where: str, col: _Collector, deferred: bool):
-    """Normalize what a health event consumes or produces to a mapping of
-    state to weight: a state name weighs one, a list of states splits
-    equally over the branches, and a mapping gives each weight. With
-    ``deferred``, a null weight defers to the assumed-values section."""
-    if isinstance(value, str):
-        return {value: 1.0}
-    if isinstance(value, list):
-        if _names(value) is _BAD:
-            col.add("schema", f"{where}: branch list must name states")
-            return None
-        return dict.fromkeys(value, 1.0 / len(value))
-    if isinstance(value, dict):
-        return {state: None if weight is None and deferred
-                else _walk("number", weight, f"{where}.{state}", col)
-                for state, weight in value.items()}
-    col.add("schema", f"{where}: expected a state, a list of states, or a "
-                      f"mapping, got {_shown(value)}")
-    return None
+def _expected(col: _Collector, path, what: str, value) -> None:
+    col.add("schema", f"{_where(path) or 'document'}: expected {what}, got "
+                      f"{_shown(value)}")
 
 
-def _walk(node, value, where: str, col: _Collector):
-    """Check ``value`` against schema ``node`` and return it normalized.
-
-    Every failure goes to ``col`` under check ``schema``; the returned
-    value is only meaningful when none was added.
-    """
-    if isinstance(node, str):
-        if node in ("weights", "branches"):
-            return _weights(value, where, col, deferred=node == "branches")
-        normalize, expected = _SCALARS[node]
-        out = normalize(value)
-        if out is _BAD:
-            col.add("schema", f"{where}: expected {expected}, got "
-                              f"{_shown(value)}")
-        return out
+def _child(node):
+    """(normalize, expected, None) for a scalar node, checked inline by
+    its container; (None, None, checker) for any other node."""
     if isinstance(node, set):
-        if not (isinstance(value, str) and value in node):
-            col.add("schema", f"{where}: expected one of {sorted(node)}, "
-                              f"got {_shown(value)}")
-        return value
-    if isinstance(node, list):
-        if not isinstance(value, list):
-            col.add("schema", f"{where}: expected a list, got "
-                              f"{_shown(value)}")
-            return None
-        return [_walk(node[0], item, f"{where}[{i}]", col)
-                for i, item in enumerate(value)]
-    if not isinstance(value, dict):
-        col.add("schema", f"{where or 'document'}: expected an object, got "
-                          f"{_shown(value)}")
-        return None
-    if isinstance(node, tuple):
-        key, with_key, without = node
-        node = with_key if key in value else without
-    if not isinstance(node, _Object):
-        return {key: _walk(node["*"], item, f"{where}.{key}", col)
-                for key, item in value.items()}
+        return ((lambda v: v if isinstance(v, str) and v in node else _BAD),
+                f"one of {sorted(node)}", None)
+    if isinstance(node, str) and node in _SCALARS:
+        return (*_SCALARS[node], None)
+    return None, None, _checker(node)
 
-    out = {}
-    for key, (sub, required) in node.fields.items():
-        if key in value:
-            out[key] = _walk(sub, value[key],
-                             f"{where}.{key}" if where else key, col)
-        elif required:
-            col.add("schema", f"{where or 'document'}: missing required key "
-                              f"{key!r}")
-    unknown = [key for key in value if key not in node.fields]
-    if unknown:
-        col.add("schema", f"{where or 'document'}: unknown keys "
-                          f"{sorted(unknown)}")
-    if node.any_of and not any(key in value for key in node.any_of):
-        col.add("schema", f"{where}: needs one of {list(node.any_of)}")
-    return out
+
+def _weights(deferred: bool):
+    """Checker normalizing what a health event consumes or produces to a
+    mapping of state to weight: a state name weighs one, a list of states
+    splits equally over the branches, and a mapping gives each weight.
+    With ``deferred``, a null weight defers to the assumed-values
+    section."""
+    def check(value, path, col):
+        if isinstance(value, str):
+            return {value: 1.0}
+        if isinstance(value, list):
+            if _names(value) is _BAD:
+                col.add("schema",
+                        f"{_where(path)}: branch list must name states")
+                return None
+            return dict.fromkeys(value, 1.0 / len(value))
+        if not isinstance(value, dict):
+            _expected(col, path, "a state, a list of states, or a mapping",
+                      value)
+            return None
+        out = {}
+        for state, weight in value.items():
+            if weight is None and deferred:
+                out[state] = None
+                continue
+            out[state] = norm = _number(weight)
+            if norm is _BAD:
+                _expected(col, (path, state), "a finite number", weight)
+        return out
+    return check
+
+
+def _list(item_node):
+    normalize, what, item_check = _child(item_node)
+
+    def check(value, path, col):
+        if not isinstance(value, list):
+            _expected(col, path, "a list", value)
+            return None
+        if item_check is not None:
+            return [item_check(item, (path, i), col)
+                    for i, item in enumerate(value)]
+        out = list(map(normalize, value))
+        for i, norm in enumerate(out):
+            if norm is _BAD:
+                _expected(col, (path, i), what, value[i])
+        return out
+    return check
+
+
+def _mapping(item_node):
+    normalize, what, item_check = _child(item_node)
+
+    def check(value, path, col):
+        if not isinstance(value, dict):
+            _expected(col, path, "an object", value)
+            return None
+        if item_check is not None:
+            return {key: item_check(item, (path, key), col)
+                    for key, item in value.items()}
+        out = {}
+        for key, item in value.items():
+            out[key] = norm = normalize(item)
+            if norm is _BAD:
+                _expected(col, (path, key), what, item)
+        return out
+    return check
+
+
+def _fields(node: dict):
+    """(fields, names, any_of) of an object node, where each field is
+    (key, required, normalize, expected, checker) as _child gives them."""
+    fields = tuple((key.rstrip("?"), key[-1] != "?", *_child(sub))
+                   for key, sub in node.items() if key != "$any_of")
+    return (fields, frozenset(field[0] for field in fields),
+            node.get("$any_of", ()))
+
+
+def _object(node: dict, switch: str | None = None,
+            alternative: dict | None = None):
+    """Checker for an object node; with ``switch``, an object holding
+    that key is checked against ``alternative`` instead."""
+    plain = _fields(node)
+    other = _fields(alternative) if switch is not None else plain
+
+    def check(value, path, col):
+        if not isinstance(value, dict):
+            _expected(col, path, "an object", value)
+            return None
+        fields, names, any_of = other if switch in value else plain
+        out = {}
+        for key, required, normalize, what, sub in fields:
+            if key in value:
+                item = value[key]
+                if sub is not None:
+                    out[key] = sub(item, (path, key), col)
+                    continue
+                out[key] = norm = normalize(item)
+                if norm is _BAD:
+                    _expected(col, (path, key), what, item)
+            elif required:
+                col.add("schema", f"{_where(path) or 'document'}: missing "
+                                  f"required key {key!r}")
+        if not names.issuperset(value):
+            unknown = [key for key in value if key not in names]
+            col.add("schema", f"{_where(path) or 'document'}: unknown keys "
+                              f"{sorted(unknown)}")
+        if any_of and not any(key in value for key in any_of):
+            col.add("schema",
+                    f"{_where(path)}: needs one of {list(any_of)}")
+        return out
+    return check
+
+
+def _checker(node):
+    """Compile a container schema node into ``check(value, path, col)``,
+    which returns ``value`` normalized and adds every failure to ``col``
+    under check ``schema``; the result is only meaningful when none was
+    added."""
+    if node in ("weights", "branches"):
+        return _weights(deferred=node == "branches")
+    if isinstance(node, list):
+        return _list(node[0])
+    if isinstance(node, tuple):
+        switch, with_key, without = node
+        return _object(without, switch, with_key)
+    if "*" in node:
+        return _mapping(node["*"])
+    return _object(node)
+
+
+_ROOT = _checker(SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -445,6 +514,9 @@ def _build_health_net(ind: dict, assumed: dict,
         col.add("health-states", f"{where}: duplicate health states")
         return None
     index = {s: i for i, s in enumerate(states)}
+    specs = ind.get("health_events", [])
+    if len({spec["name"] for spec in specs}) != len(specs):
+        col.add("health-states", f"{where}: duplicate health events")
 
     values = np.zeros(len(states))
     declared = assumed.get("health_state_values", {}).get(ind["id"], {})
@@ -461,7 +533,6 @@ def _build_health_net(ind: dict, assumed: dict,
 
     durations = assumed.get("health_event_durations", {}).get(ind["id"], {})
     weights = assumed.get("health_event_weights", {}).get(ind["id"], {})
-    specs = ind.get("health_events", [])
     m_minus = np.zeros((len(states), len(specs)))
     m_plus = np.zeros((len(states), len(specs)))
     events = []
@@ -495,7 +566,7 @@ def _build_health_net(ind: dict, assumed: dict,
             m_plus[index[state], j] = weight
         duration = durations.get(spec["name"], durations.get(DEFAULT_KEY, 0.0))
         events.append(HealthEvent(
-            j, spec["name"], HealthEventKind(spec["kind"]),
+            j, spec["name"], _EVENT_KINDS[spec["kind"]],
             realized_by=tuple(spec.get("realized_by", ())),
             duration=duration, note=spec.get("note")))
     if not ok:
@@ -554,7 +625,8 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     selector = coordination.build_transform_selector(model)
 
     individuals = []
-    nets: dict[str, HealthNet] = {}
+    # id -> (health net, event name -> event index)
+    nets: dict[str, tuple[HealthNet, dict[str, int]]] = {}
     for ind in data.get("individuals", []):
         if ind["id"] in nets:
             col.add("health-states", f"duplicate individual id {ind['id']!r}")
@@ -562,7 +634,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
         hnet = _build_health_net(ind, assumed, col)
         if hnet is None:
             continue
-        nets[ind["id"]] = hnet
+        nets[ind["id"]] = hnet, {ev.name: ev.index for ev in hnet.events}
         masses = (ind["initial_marking"] if "initial_marking" in ind
                   else {ind["initial_state"]: 1.0})
         try:
@@ -582,32 +654,33 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     health_actions = []
     last_time = None
     for i, entry in enumerate(data.get("schedule", [])):
-        where = f"schedule[{i}]"
         time = entry["time"]
         if last_time is not None and time < last_time:
             col.add("schedule-order",
-                    f"{where}: time {time} precedes the previous entry at "
-                    f"{last_time}")
+                    f"schedule[{i}]: time {time} precedes the previous "
+                    f"entry at {last_time}")
         last_time = time
         if entry["individual"] not in nets:
             col.add("schedule-references",
-                    f"{where}: unknown individual {entry['individual']!r}")
+                    f"schedule[{i}]: unknown individual "
+                    f"{entry['individual']!r}")
             continue
-        hnet = nets[entry["individual"]]
+        hnet, event_index = nets[entry["individual"]]
         outcome = None
         if "outcome" in entry:
             try:
                 outcome = hnet.state_index(entry["outcome"])
             except ValidationError:
                 col.add("schedule-references",
-                        f"{where}: unknown outcome state "
+                        f"schedule[{i}]: unknown outcome state "
                         f"{entry['outcome']!r}")
                 continue
         if "process" in entry:
             key = dof_key(entry["process"], entry["resource"])
             if key not in dof_keys:
                 col.add("schedule-references",
-                        f"{where}: {key!r} is not an available capability")
+                        f"schedule[{i}]: {key!r} is not an available "
+                        f"capability")
                 continue
             delivery_actions.append(DeliveryAction(
                 time, dof_keys[key], entry["individual"], outcome))
@@ -617,18 +690,16 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
             names = ([entry["event"]] if "event" in entry
                      else entry["event_group"])
             for name in names:
-                try:
-                    index = hnet.event_index(name)
-                except ValidationError:
+                index = event_index.get(name)
+                if index is None:
                     col.add("schedule-references",
-                            f"{where}: unknown health event {name!r}")
+                            f"schedule[{i}]: unknown health event {name!r}")
                     ok = False
-                    continue
-                if not hnet.events[index].is_stochastic:
+                elif not hnet.events[index].is_stochastic:
                     col.add("schedule-references",
-                            f"{where}: health event {name!r} is induced by "
-                            f"the delivery system and cannot be scheduled "
-                            f"directly")
+                            f"schedule[{i}]: health event {name!r} is "
+                            f"induced by the delivery system and cannot be "
+                            f"scheduled directly")
                     ok = False
                 else:
                     events.append(index)
@@ -654,7 +725,7 @@ def load_scenario_data(data: Any) -> ScenarioDocument:
     Raises :class:`ScenarioError` carrying every failure found.
     """
     col = _Collector()
-    doc = ScenarioDocument(_walk(_ROOT, data, "", col))
+    doc = ScenarioDocument(_ROOT(data, (), col))
     if not col and doc.data["schema_version"] != SCHEMA_VERSION:
         col.add("schema", f"unsupported schema_version "
                           f"{doc.data['schema_version']}; this engine reads "

@@ -590,3 +590,16 @@ def test_kernel_invariants_on_shifted_schedules(request, name, stretch,
     assert all(np.array_equal(first.final_health[i].state_mass,
                               second.final_health[i].state_mass)
                for i in first.final_health)
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic"])
+@pytest.mark.parametrize("mode, seed", [("replay", 0), ("sample", 5)])
+def test_recorded_outcomes_match_health_outcome(request, name, mode, seed):
+    # The kernel computes the outcome inline; health_outcome is the oracle.
+    compiled = request.getfixturevalue(name)
+    result = compiled.run(mode=mode, seed=seed)
+    last = {ind_id: value for _, ind_id, value in result.outcome_series}
+    assert len(result.outcome_series) > len(last)
+    for ind in compiled.individuals:
+        assert last[ind.id] == health.health_outcome(
+            ind.net.values, result.final_health[ind.id].state_mass)

@@ -176,6 +176,23 @@ class TestDefectiveDocuments:
                      str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_health_event_name_rejected(self, tmp_path, capsys):
+        # Schedule entries, weights and durations name events, so two
+        # events of one name would be one name for two events.
+        data = chronic_data()
+        events = data["individuals"][0]["health_events"]
+        events.append(copy.deepcopy(events[0]))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert err.value.failures == [
+            ("health-states", "individual 'patient': duplicate health "
+                              "events")]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  health-states" in capsys.readouterr().out
+        assert main(["dof", str(path)]) == 2
+
     def test_file_not_utf8_is_a_parse_failure(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
@@ -379,6 +396,10 @@ MESSAGES = {
     "weight": (_set((*_RESECT, "consumes"), {"symptomatic tumor": "x"}),
                "individuals[0].health_events[2].consumes.symptomatic "
                "tumor: expected a finite number, got 'x'"),
+    "null-weight": (_set((*_RESECT, "consumes"),
+                         {"symptomatic tumor": None}),
+                    "individuals[0].health_events[2].consumes.symptomatic "
+                    "tumor: expected a finite number, got null"),
     "map-value": (_set(("assumed_values", "health_state_values", "patient",
                         "healthy"), True),
                   "assumed_values.health_state_values.patient.healthy: "
