@@ -178,6 +178,9 @@ _SCALARS = {
                 "true or false"),
     "count": (_count, "a whole number"),
     "number": (_number, "a finite number"),
+    # a branch weight; null defers it to the assumed-values section
+    "deferred": (lambda v: None if v is None else _number(v),
+                 "a finite number"),
     "time": (_time, "a finite number >= 0"),
     "pair": (lambda v: _names(v, size=2), "a [process, resource] pair"),
     "names": (_names, "a nonempty list of names"),
@@ -223,12 +226,13 @@ def _child(node):
     return None, None, _checker(node)
 
 
-def _weights(deferred: bool):
+def _weights(weight_node: str):
     """Checker normalizing what a health event consumes or produces to a
     mapping of state to weight: a state name weighs one, a list of states
-    splits equally over the branches, and a mapping gives each weight.
-    With ``deferred``, a null weight defers to the assumed-values
-    section."""
+    splits equally over the branches, and a mapping gives each weight,
+    checked against ``weight_node``."""
+    weight_map = _mapping(weight_node)
+
     def check(value, path, col):
         if isinstance(value, str):
             return {value: 1.0}
@@ -238,19 +242,11 @@ def _weights(deferred: bool):
                         f"{_where(path)}: branch list must name states")
                 return None
             return dict.fromkeys(value, 1.0 / len(value))
-        if not isinstance(value, dict):
-            _expected(col, path, "a state, a list of states, or a mapping",
-                      value)
-            return None
-        out = {}
-        for state, weight in value.items():
-            if weight is None and deferred:
-                out[state] = None
-                continue
-            out[state] = norm = _number(weight)
-            if norm is _BAD:
-                _expected(col, (path, state), "a finite number", weight)
-        return out
+        if isinstance(value, dict):
+            return weight_map(value, path, col)
+        _expected(col, path, "a state, a list of states, or a mapping",
+                  value)
+        return None
     return check
 
 
@@ -341,8 +337,10 @@ def _checker(node):
     which returns ``value`` normalized and adds every failure to ``col``
     under check ``schema``; the result is only meaningful when none was
     added."""
-    if node in ("weights", "branches"):
-        return _weights(deferred=node == "branches")
+    if node == "weights":
+        return _weights("number")
+    if node == "branches":
+        return _weights("deferred")
     if isinstance(node, list):
         return _list(node[0])
     if isinstance(node, tuple):
