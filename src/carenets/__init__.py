@@ -22,8 +22,7 @@ from .scenario import (CompiledScenario, ScenarioDocument, compile_scenario,
                        load_scenario, validate_file)
 from .structure import (Aggregation, BoolMatrix, Process, Projection,
                         Resource, ResourceClass, StructuralModel,
-                        aggregate_resources, apply_chronic_abstraction,
-                        boolean_subtract, build_projection, classify_resource,
-                        compute_dof, enumerate_dof)
+                        apply_chronic_abstraction, boolean_subtract,
+                        build_projection, classify_resource, enumerate_dof)
 
 __version__ = "0.1.0"

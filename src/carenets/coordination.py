@@ -61,30 +61,15 @@ def build_feasibility(net: HealthNet,
                     f"event {ev.name!r} names unknown transformation "
                     f"process {name!r}", check="feasibility-tags")
             matrix[ev.index, index[name]] = 1
-    validate_feasibility(matrix, net)
-    return matrix
-
-
-def validate_feasibility(matrix: np.ndarray, net: HealthNet) -> None:
-    if matrix.shape[0] != net.n_events:
-        raise ValidationError("feasibility matrix must have one row per "
-                              "health event", check="feasibility-tags")
     row_sums = matrix.sum(axis=1)
     for ev in net.events:
         row_sum = int(row_sums[ev.index])
-        if ev.is_stochastic and row_sum:
-            raise ValidationError(
-                f"stochastic event {ev.name!r} must have an empty "
-                f"feasibility row", check="feasibility-tags")
-        if not ev.is_stochastic and row_sum < 1:
-            raise ValidationError(
-                f"induced event {ev.name!r} has no realizing "
-                f"transformation process", check="feasibility-tags")
         if row_sum > 1:
             raise ValidationError(
                 f"induced event {ev.name!r} is realized by {row_sum} "
                 f"transformation processes; the coupling identity needs "
                 f"exactly one", check="feasibility-tags")
+    return matrix
 
 
 def build_transform_selector(model: StructuralModel) -> np.ndarray:

@@ -22,8 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotEnabledError, ValidationError
-from .structure import (Aggregation, BoolMatrix, ResourceClass,
-                        StructuralModel)
+from .structure import BoolMatrix, StructuralModel
 
 
 class FiringKind(Enum):
@@ -95,32 +94,12 @@ def build_incidence_in(model: StructuralModel) -> np.ndarray:
     return inc
 
 
-def build_incidence_aggregated(model: StructuralModel,
-                               aggregation: Aggregation | None = None,
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence matrices over aggregate places: the buffer-level matrices
-    left-multiplied by the aggregation matrix."""
-    agg = aggregation or model.aggregation
-    if agg is None:
-        raise ValidationError("model carries no aggregation",
-                              check="aggregation-partition")
-    if agg.matrix.shape[1] != model.n_buffers:
-        raise ValidationError(
-            f"aggregation covers {agg.matrix.shape[1]} buffers, model has "
-            f"{model.n_buffers}", check="aggregation-partition")
-    a = agg.matrix.to_dense()
-    return a @ build_incidence_out(model), a @ build_incidence_in(model)
-
-
 @dataclass(frozen=True)
 class Transition:
     """One transition: a process allocated to a resource."""
 
     psi: int
-    process_id: int
-    resource_id: int
     label: str
-    cls: ResourceClass
 
 
 @dataclass(frozen=True)
@@ -159,17 +138,19 @@ class DeliveryNet:
                    durations: Sequence[float],
                    costs: Sequence[float],
                    capacities: Sequence[int] | None = None) -> "DeliveryNet":
-        if model.aggregation is not None:
-            m_minus, m_plus = build_incidence_aggregated(model)
-            place_names = model.aggregation.names
-        else:
-            m_minus = build_incidence_out(model)
-            m_plus = build_incidence_in(model)
+        m_minus = build_incidence_out(model)
+        m_plus = build_incidence_in(model)
+        if model.aggregation is None:
             place_names = tuple(r.name for r in model.buffers)
+        else:
+            # places over aggregates: A·M⁻ and A·M⁺ for the aggregation
+            # matrix A, whose width StructuralModel.build has checked
+            a = model.aggregation.matrix.to_dense()
+            m_minus, m_plus = a @ m_minus, a @ m_plus
+            place_names = model.aggregation.names
         transitions = tuple(
-            Transition(i, w, v,
-                       f"{model.processes[w].name} @ {model.resources[v].name}",
-                       model.processes[w].cls)
+            Transition(i, f"{model.processes[w].name} @ "
+                          f"{model.resources[v].name}")
             for i, (w, v) in enumerate(model.dof_list))
         caps = (np.ones(model.dof_count, dtype=int) if capacities is None
                 else np.asarray(capacities, dtype=int))

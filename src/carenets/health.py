@@ -38,7 +38,6 @@ class HealthEvent:
     kind: HealthEventKind
     realized_by: tuple[str, ...] = ()
     duration: float = 0.0
-    note: str | None = None
 
     @property
     def is_stochastic(self) -> bool:
@@ -46,11 +45,10 @@ class HealthEvent:
 
 
 def _outside_unit(array: np.ndarray) -> bool:
-    """Whether an entry lies below 0 or above 1. ``fmin``/``fmax`` skip
-    NaN, as elementwise comparisons do, and ``initial`` covers an empty
-    array."""
-    return bool(np.fmin.reduce(array, axis=None, initial=0.0) < 0
-                or np.fmax.reduce(array, axis=None, initial=1.0) > 1)
+    """Whether an entry is not finite or lies outside [0, 1]. ``min`` and
+    ``max`` propagate NaN, which fails both comparisons, and ``initial``
+    covers an empty array."""
+    return not (array.min(initial=0.0) >= 0 and array.max(initial=1.0) <= 1)
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,6 @@ class HealthNet:
         except ValueError:
             raise ValidationError(f"unknown health state {name!r}") from None
 
-    def event_index(self, name: str) -> int:
-        for ev in self.events:
-            if ev.name == name:
-                return ev.index
-        raise ValidationError(f"unknown health event {name!r}")
-
 
 @dataclass(frozen=True)
 class HealthMarking:
@@ -146,22 +138,21 @@ class HealthMarking:
         return float(self.state_mass.sum() + self.event_mass.sum())
 
 
-def check_unit_mass(marking: HealthMarking, tol: float = MASS_TOL) -> None:
+def check_unit_mass(marking: HealthMarking) -> None:
     """One individual carries exactly one unit of probability mass."""
-    if abs(marking.total_mass - 1.0) > tol:
+    if abs(marking.total_mass - 1.0) > MASS_TOL:
         raise ValidationError(
             f"health marking mass is {marking.total_mass!r}, expected 1",
             check="initial-mass")
     low = min(marking.state_mass.min(initial=0.0),
               marking.event_mass.min(initial=0.0))
-    if low < -tol:
+    if low < -MASS_TOL:
         raise ValidationError("health marking has negative mass",
                               check="initial-mass")
 
 
 def fuzzy_step(net: HealthNet, marking: HealthMarking,
-               u_minus: np.ndarray, u_plus: np.ndarray,
-               tol: float = ENABLE_TOL) -> HealthMarking:
+               u_minus: np.ndarray, u_plus: np.ndarray) -> HealthMarking:
     """Advance the probabilistic marking by one firing step.
 
     Identical algebra to the delivery net but over fractional magnitudes:
@@ -174,7 +165,7 @@ def fuzzy_step(net: HealthNet, marking: HealthMarking,
         raise ValidationError("firing vectors must have one entry per event")
 
     after_starts = marking.state_mass - net.m_minus @ u_minus
-    if after_starts.min(initial=0.0) < -tol:
+    if after_starts.min(initial=0.0) < -ENABLE_TOL:
         state = int(after_starts.argmin())
         guilty = [net.events[e].name for e in range(net.n_events)
                   if u_minus[e] > 0 and net.m_minus[state, e] > 0]
@@ -183,7 +174,7 @@ def fuzzy_step(net: HealthNet, marking: HealthMarking,
             f"state {net.state_names[state]!r} lacks mass")
 
     after_completes = marking.event_mass - u_plus
-    if after_completes.min(initial=0.0) < -tol:
+    if after_completes.min(initial=0.0) < -ENABLE_TOL:
         event = int(after_completes.argmin())
         raise NotEnabledError(
             f"health event {net.events[event].name!r} completion exceeds "
@@ -217,9 +208,9 @@ def enabled_magnitude(net: HealthNet, marking: HealthMarking,
 
 
 def is_enabled(net: HealthNet, marking: HealthMarking, event: int,
-               magnitude: float = 1.0, tol: float = ENABLE_TOL) -> bool:
+               magnitude: float = 1.0) -> bool:
     return bool((marking.state_mass - net.m_minus[:, event] * magnitude)
-                .min(initial=0.0) >= -tol)
+                .min(initial=0.0) >= -ENABLE_TOL)
 
 
 def sample_branch(net: HealthNet, event: int,
@@ -268,10 +259,9 @@ def start_event(net: HealthNet, marking: HealthMarking, event: int,
 
 
 def apply_completion(net: HealthNet, marking: HealthMarking, event: int,
-                     column: np.ndarray, magnitude: float,
-                     tol: float = ENABLE_TOL) -> HealthMarking:
+                     column: np.ndarray, magnitude: float) -> HealthMarking:
     """Complete an in-flight event, delivering mass along ``column``."""
-    if marking.event_mass[event] - magnitude < -tol:
+    if marking.event_mass[event] - magnitude < -ENABLE_TOL:
         raise NotEnabledError(
             f"health event {net.events[event].name!r} completion exceeds "
             f"its in-flight mass")

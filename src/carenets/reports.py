@@ -8,7 +8,6 @@ scenario, flags, and seed; nothing time-of-day dependent is written.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -95,28 +94,14 @@ def final_outcome_by_individual(result: RunResult) -> dict[str, float]:
     return outcomes
 
 
-@dataclass(frozen=True)
-class RunFiles:
-    directory: Path
-    trace: Path
-    delivery: Path
-    outcomes: Path
-    summary: Path
-
-
 def write_run(out_dir: Path, compiled: CompiledScenario, result: RunResult,
-              mode: str, seed: int | None) -> RunFiles:
+              mode: str, seed: int | None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = RunFiles(out_dir,
-                     out_dir / "trace.csv",
-                     out_dir / "delivery.csv",
-                     out_dir / "outcomes.csv",
-                     out_dir / "summary.txt")
-    write_trace_csv(files.trace, result)
-    write_delivery_csv(files.delivery, result, compiled.net.place_names)
-    write_outcomes_csv(files.outcomes, result)
-    write_summary(files.summary, compiled, result, mode, seed)
-    return files
+    write_trace_csv(out_dir / "trace.csv", result)
+    write_delivery_csv(out_dir / "delivery.csv", result,
+                       compiled.net.place_names)
+    write_outcomes_csv(out_dir / "outcomes.csv", result)
+    write_summary(out_dir / "summary.txt", compiled, result, mode, seed)
 
 
 def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,

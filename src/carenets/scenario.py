@@ -90,6 +90,9 @@ class _Collector:
 # checker per item, and passes each container item its path as a
 # (parent path, key) pair; _where formats a path only when a failure is
 # recorded.
+#
+# "title", "notes", "note" and "human" are annotations for readers of the
+# document: the schema checks their type and nothing reads them.
 
 _CLASS_NAMES = {c.value: c for c in ResourceClass}
 _CLASSES = set(_CLASS_NAMES)
@@ -392,9 +395,7 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         # stable, so declaration order breaks ties within a class
         return sorted(specs, key=lambda s: _CLASS_NAMES[s["class"]].rank)
 
-    resources = [Resource(i, spec["name"], _CLASS_NAMES[spec["class"]],
-                          human=spec.get("human", False),
-                          note=spec.get("note"))
+    resources = [Resource(i, spec["name"], _CLASS_NAMES[spec["class"]])
                  for i, spec in enumerate(by_rank(data.get("resources", [])))]
     res_index = {r.name: r.id for r in resources}
     buffer_index = {r.name: r.id for r in resources if r.is_buffer}
@@ -404,21 +405,17 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         cls = _CLASS_NAMES[spec["class"]]
         origin = destination = None
         if cls is ResourceClass.TRANSPORTATION:
+            # StructuralModel.build reports a missing endpoint
             for label in ("origin", "destination"):
                 end = spec.get(label)
-                if end is None:
-                    col.add("transport-endpoints",
-                            f"transport process {spec['name']!r} has no "
-                            f"{label}")
-                elif end not in buffer_index:
+                if end is not None and end not in buffer_index:
                     col.add("cross-references",
                             f"transport process {spec['name']!r} {label} "
                             f"{end!r} is not a buffer")
             origin = buffer_index.get(spec.get("origin"))
             destination = buffer_index.get(spec.get("destination"))
         processes.append(Process(new_id, spec["name"], cls,
-                                 origin=origin, destination=destination,
-                                 note=spec.get("note")))
+                                 origin=origin, destination=destination))
     proc_index = {p.name: p.id for p in processes}
 
     def resolve(pairs, label):
@@ -510,7 +507,6 @@ def _build_health_net(ind: dict, assumed: dict,
     states = ind["health_states"]
     if len(set(states)) != len(states):
         col.add("health-states", f"{where}: duplicate health states")
-        return None
     index = {s: i for i, s in enumerate(states)}
     specs = ind.get("health_events", [])
     if len({spec["name"] for spec in specs}) != len(specs):
@@ -566,7 +562,7 @@ def _build_health_net(ind: dict, assumed: dict,
         events.append(HealthEvent(
             j, spec["name"], _EVENT_KINDS[spec["kind"]],
             realized_by=tuple(spec.get("realized_by", ())),
-            duration=duration, note=spec.get("note")))
+            duration=duration))
     if not ok:
         return None
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,8 +70,6 @@ class Resource:
     id: int
     name: str
     cls: ResourceClass
-    human: bool = False
-    note: str | None = None
 
     @property
     def is_buffer(self) -> bool:
@@ -88,7 +86,6 @@ class Process:
     cls: ResourceClass
     origin: int | None = None
     destination: int | None = None
-    note: str | None = None
 
     @property
     def is_transport(self) -> bool:
@@ -114,23 +111,8 @@ class BoolMatrix:
         return cls(shape, coords)
 
     @classmethod
-    def from_dense(cls, array) -> "BoolMatrix":
-        dense = np.asarray(array)
-        if dense.ndim != 2:
-            raise ValidationError("expected a 2-d array")
-        ws, vs = np.nonzero(dense)
-        return cls(dense.shape, frozenset(zip(ws.tolist(), vs.tolist())))
-
-    @classmethod
     def zeros(cls, shape: tuple[int, int]) -> "BoolMatrix":
         return cls(shape, frozenset())
-
-    def __contains__(self, coord: tuple[int, int]) -> bool:
-        return tuple(coord) in self.coords
-
-    @property
-    def count(self) -> int:
-        return len(self.coords)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=int)
@@ -158,11 +140,6 @@ def boolean_subtract(j: BoolMatrix, k: BoolMatrix) -> BoolMatrix:
         raise ValidationError(
             f"shape mismatch: {j.shape} vs {k.shape}", check="constraints")
     return BoolMatrix(j.shape, j.coords - k.coords)
-
-
-def compute_dof(concept: BoolMatrix) -> int:
-    """Number of structural degrees of freedom: count of filled cells."""
-    return concept.count
 
 
 def enumerate_dof(concept: BoolMatrix) -> list[tuple[int, int]]:
@@ -239,24 +216,6 @@ class Aggregation:
             raise ValidationError(
                 f"buffer columns {missing} belong to no aggregate",
                 check="aggregation-partition")
-
-    @property
-    def n_aggregates(self) -> int:
-        return self.matrix.shape[0]
-
-    def member_ids(self, aggregate: int) -> list[int]:
-        return sorted(j for i, j in self.matrix.coords if i == aggregate)
-
-
-def aggregate_resources(aggregation: Aggregation,
-                        buffers: Sequence[Resource]) -> list[list[Resource]]:
-    """Resolve each aggregate to the buffers it contains."""
-    if aggregation.matrix.shape[1] != len(buffers):
-        raise ValidationError(
-            f"aggregation covers {aggregation.matrix.shape[1]} buffers, "
-            f"model has {len(buffers)}", check="aggregation-partition")
-    return [[buffers[j] for j in aggregation.member_ids(i)]
-            for i in range(aggregation.n_aggregates)]
 
 
 @dataclass(frozen=True)
@@ -345,26 +304,10 @@ class StructuralModel:
     def dof_count(self) -> int:
         return len(self.dof_list)
 
-    @property
-    def dof_index(self) -> dict[tuple[int, int], int]:
-        return {wv: i for i, wv in enumerate(self.dof_list)}
-
     def dof_table(self) -> list[tuple[int, Process, Resource]]:
         """Deterministic (index, process, resource) listing of every DOF."""
         return [(i, self.processes[w], self.resources[v])
                 for i, (w, v) in enumerate(self.dof_list)]
-
-    def resource_by_name(self, name: str) -> Resource:
-        for r in self.resources:
-            if r.name == name:
-                return r
-        raise ValidationError(f"unknown resource {name!r}")
-
-    def process_by_name(self, name: str) -> Process:
-        for p in self.processes:
-            if p.name == name:
-                return p
-        raise ValidationError(f"unknown process {name!r}")
 
 
 def _check_entities(entities, kind: str) -> None:
@@ -434,10 +377,16 @@ def _check_declared_classes(processes, resources, knowledge: BoolMatrix) -> None
                 check="resource-class-consistency")
 
 
+#: Without explicit clinic buffers, every buffer not named OUTSIDE_CLINIC
+#: lies inside the clinic. The clinic aggregate is named CLINIC; the
+#: outside aggregate takes the name of its one buffer, or OUTSIDE_CLINIC
+#: when it holds several.
+OUTSIDE_CLINIC = "outside clinic"
+CLINIC = "healthcare clinic"
+
+
 def apply_chronic_abstraction(model: StructuralModel,
                               clinic_buffers: Iterable[int] | None = None,
-                              outside_name: str = "outside clinic",
-                              clinic_name: str = "healthcare clinic",
                               ) -> StructuralModel:
     """Refocus a model on what happens inside a clinic rather than how
     individuals move around within it.
@@ -450,7 +399,7 @@ def apply_chronic_abstraction(model: StructuralModel,
     """
     buffers = model.buffers
     if clinic_buffers is None:
-        clinic = {r.id for r in buffers if r.name != outside_name}
+        clinic = {r.id for r in buffers if r.name != OUTSIDE_CLINIC}
     else:
         clinic = {int(b) for b in clinic_buffers}
         for b in clinic:
@@ -459,7 +408,7 @@ def apply_chronic_abstraction(model: StructuralModel,
     outside = [r.id for r in buffers if r.id not in clinic]
     if not outside:
         raise ValidationError(
-            f"model has no {outside_name!r} buffer outside the clinic")
+            f"model has no {OUTSIDE_CLINIC!r} buffer outside the clinic")
     if not clinic:
         raise ValidationError("clinic buffer set is empty")
 
@@ -482,9 +431,9 @@ def apply_chronic_abstraction(model: StructuralModel,
     pairs = [(0, buffer_ids.index(b)) for b in outside]
     pairs += [(1, buffer_ids.index(b)) for b in sorted(clinic)]
     outside_label = buffers[buffer_ids.index(outside[0])].name \
-        if len(outside) == 1 else outside_name
+        if len(outside) == 1 else OUTSIDE_CLINIC
     aggregation = Aggregation(
-        names=(outside_label, clinic_name),
+        names=(outside_label, CLINIC),
         matrix=BoolMatrix.from_pairs((2, len(buffers)), pairs))
 
     return StructuralModel.build(model.resources, model.processes,

@@ -17,8 +17,8 @@ from carenets.coordination import (DeliveryAction, Individual, RunResult,
 from carenets.delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
                                step)
 from carenets.health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
-from carenets.structure import (BoolMatrix, Process, Resource, ResourceClass,
-                                StructuralModel)
+from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
+                                ResourceClass, StructuralModel)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "carenets" / "fixtures"
 ACUTE = FIXTURES / "acute_acl.json"
@@ -38,6 +38,20 @@ def oracle_incidence(model: StructuralModel) -> tuple[np.ndarray, np.ndarray]:
             m_minus[v, psi] = 1
             m_plus[v, psi] = 1
     return m_minus, m_plus
+
+
+def bool_matrix(dense) -> BoolMatrix:
+    """Boolean matrix holding the nonzero cells of a 2-d array."""
+    dense = np.asarray(dense)
+    return BoolMatrix.from_pairs(dense.shape, zip(*np.nonzero(dense)))
+
+
+def aggregate_members(aggregation: Aggregation,
+                      buffers) -> list[list[str]]:
+    """Names of the buffers each aggregate holds, in buffer order."""
+    return [[buffers[j].name for j in range(len(buffers))
+             if (i, j) in aggregation.matrix.coords]
+            for i in range(len(aggregation.names))]
 
 
 def random_model(rng: np.random.Generator,
@@ -66,7 +80,7 @@ def random_model(rng: np.random.Generator,
     if n_transport:
         mover = len(resources)
         resources.append(Resource(mover, "mover",
-                                  ResourceClass.TRANSPORTATION, human=True))
+                                  ResourceClass.TRANSPORTATION))
 
     processes = []
     allocations = []

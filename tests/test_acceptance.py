@@ -193,7 +193,7 @@ def test_criterion_09_coupling_residual(acute, chronic):
 
 def test_criterion_10_monte_carlo_calibration(chronic):
     net = chronic.individuals[0].net
-    resection = net.event_index("Resect tumor")
+    resection = [ev.name for ev in net.events].index("Resect tumor")
     branches = {net.state_index("gross-total resection"),
                 net.state_index("near-total resection"),
                 net.state_index("sub-total resection")}

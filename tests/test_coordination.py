@@ -62,7 +62,7 @@ def branching_health_net():
 def care_system():
     resources = [Resource(0, "clinic", F),
                  Resource(1, "outside clinic", M),
-                 Resource(2, "patient", N, human=True)]
+                 Resource(2, "patient", N)]
     processes = [Process(0, "therapy", F),
                  Process(1, "check", M),
                  Process(2, "enter", N, origin=1, destination=0),
@@ -137,7 +137,7 @@ class TestFeasibility:
         model, _ = care_system()
         selector = build_transform_selector(model)
         assert selector.shape == (1, 4)
-        therapy_dof = model.dof_index[(0, 0)]
+        therapy_dof = model.dof_list.index((0, 0))
         expected = np.zeros((1, 4), dtype=int)
         expected[0, therapy_dof] = 1
         assert np.array_equal(selector, expected)
@@ -149,7 +149,7 @@ class TestInducedFiring:
         self.hnet = branching_health_net()
         self.feas = build_feasibility(self.hnet, ["therapy"])
         self.selector = build_transform_selector(self.model)
-        self.therapy_dof = self.model.dof_index[(0, 0)]
+        self.therapy_dof = self.model.dof_list.index((0, 0))
 
     def engagement(self, psi):
         engagement = np.zeros(4, dtype=int)
@@ -190,9 +190,9 @@ class TestInducedFiring:
     def test_acute_surgery_maps_to_single_event(self, acute):
         individual = acute.individuals[0]
         model = acute.model
-        surgery = model.process_by_name("Perform ACL reconstruction surgery")
         psi = next(i for i, (w, _) in enumerate(model.dof_list)
-                   if w == surgery.id)
+                   if model.processes[w].name ==
+                   "Perform ACL reconstruction surgery")
         marking = HealthMarking.point(individual.net, "mobility supported")
         engagement = np.zeros(model.dof_count, dtype=int)
         engagement[psi] = 1
@@ -205,10 +205,9 @@ class TestInducedFiring:
     def test_chronic_therapy_respects_resection_outcome(self, chronic):
         individual = chronic.individuals[0]
         model = chronic.model
-        therapy = model.process_by_name(
-            "Perform radiation & chemotherapy treatment")
         psi = next(i for i, (w, _) in enumerate(model.dof_list)
-                   if w == therapy.id)
+                   if model.processes[w].name ==
+                   "Perform radiation & chemotherapy treatment")
         marking = HealthMarking.point(individual.net, "near-total resection")
         engagement = np.zeros(model.dof_count, dtype=int)
         engagement[psi] = 1

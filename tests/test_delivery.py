@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from carenets.delivery import (DeliveryNet, FiringKind, Marking,
-                               build_incidence_aggregated,
-                               build_incidence_in, build_incidence_out,
-                               step)
-from carenets.errors import (NotEnabledError, SimulationError,
-                             ValidationError)
-from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
+                               build_incidence_in, build_incidence_out, step)
+from carenets.errors import NotEnabledError, SimulationError
+from carenets.structure import (Aggregation, Process, Resource,
                                 ResourceClass, StructuralModel)
 
-from helpers import (oracle_incidence, random_delivery_net,
+from helpers import (bool_matrix, oracle_incidence, random_delivery_net,
                      random_feasible_schedule, random_model, run_starts,
                      step_replay)
 
@@ -29,7 +26,7 @@ def self_loop_model():
 
 def transport_model():
     resources = [Resource(0, "ward", F), Resource(1, "lab", M),
-                 Resource(2, "porter", N, human=True)]
+                 Resource(2, "porter", N)]
     processes = [Process(0, "treat", F), Process(1, "test", M),
                  Process(2, "carry", N, origin=0, destination=1)]
     return StructuralModel.build(resources, processes,
@@ -44,7 +41,7 @@ class TestIncidence:
 
     def test_transport_moves_between_buffers(self):
         model = transport_model()
-        psi = model.dof_index[(2, 2)]
+        psi = model.dof_list.index((2, 2))
         m_minus = build_incidence_out(model)
         m_plus = build_incidence_in(model)
         assert m_minus[:, psi].tolist() == [1, 0]
@@ -81,11 +78,12 @@ class TestIncidence:
 class TestAggregatedIncidence:
     def test_identity_matches_plain(self):
         model = transport_model()
-        agg = Aggregation(("ward", "lab"),
-                          BoolMatrix.from_dense(np.eye(2, dtype=int)))
-        m_minus, m_plus = build_incidence_aggregated(model, agg)
-        assert np.array_equal(m_minus, build_incidence_out(model))
-        assert np.array_equal(m_plus, build_incidence_in(model))
+        agg = Aggregation(("ward", "lab"), bool_matrix(np.eye(2, dtype=int)))
+        aggregated = StructuralModel.build(model.resources, model.processes,
+                                           model.knowledge, aggregation=agg)
+        net = DeliveryNet.from_model(aggregated, [1.0] * 3, [0.0] * 3)
+        assert np.array_equal(net.m_minus, build_incidence_out(model))
+        assert np.array_equal(net.m_plus, build_incidence_in(model))
 
     def test_chronic_fixture_shape(self, chronic):
         assert chronic.net.m_minus.shape == (2, 7)
@@ -104,15 +102,11 @@ class TestAggregatedIncidence:
         assert chronic.net.m_minus[inside, exit_] == 1
         assert chronic.net.m_plus[outside, exit_] == 1
 
-    def test_missing_aggregation_rejected(self):
-        with pytest.raises(ValidationError):
-            build_incidence_aggregated(transport_model())
-
 
 def two_place_net():
     resources = [Resource(0, "clinic", F),
                  Resource(1, "outside clinic", M),
-                 Resource(2, "patient", N, human=True)]
+                 Resource(2, "patient", N)]
     processes = [Process(0, "treat", F),
                  Process(1, "enter", N, origin=1, destination=0),
                  Process(2, "exit", N, origin=0, destination=1)]
@@ -133,7 +127,7 @@ class TestStep:
 
     def test_enter_clinic_pulses_through_transition(self):
         model, net = two_place_net()
-        enter = model.dof_index[(1, 2)]
+        enter = model.dof_list.index((1, 2))
         marking = Marking.initial(net, [0, 1])
         pulse = np.zeros(3, dtype=int)
         pulse[enter] = 1
@@ -146,7 +140,7 @@ class TestStep:
 
     def test_start_from_empty_place_rejected(self):
         model, net = two_place_net()
-        enter = model.dof_index[(1, 2)]
+        enter = model.dof_list.index((1, 2))
         marking = Marking.initial(net, [1, 0])
         pulse = np.zeros(3, dtype=int)
         pulse[enter] = 1
@@ -167,7 +161,7 @@ class TestStep:
 class TestSchedule:
     def test_pairs_and_ordering(self):
         model, net = two_place_net()
-        enter, treat = model.dof_index[(1, 2)], model.dof_index[(0, 0)]
+        enter, treat = model.dof_list.index((1, 2)), model.dof_list.index((0, 0))
         result = run_starts(model, net, Marking.initial(net, [0, 1]),
                             [(0.0, enter), (0.5, treat)])
         # the token entering at 0.5 is in the clinic for the start at 0.5
@@ -198,7 +192,7 @@ class TestSimulate:
 
     def test_infeasible_schedule_reports_context(self):
         model, net = two_place_net()
-        enter = model.dof_index[(1, 2)]
+        enter = model.dof_list.index((1, 2))
         with pytest.raises(SimulationError) as err:
             run_starts(model, net, Marking.initial(net, [1, 0]),
                        [(2.0, enter)])
@@ -241,9 +235,9 @@ class TestCumulativeCost:
     def test_zero_costs_stay_zero(self):
         model, net = two_place_net()
         net = dataclasses.replace(net, costs=np.zeros(3))
-        enter, treat, exit_ = (model.dof_index[(1, 2)],
-                               model.dof_index[(0, 0)],
-                               model.dof_index[(2, 2)])
+        enter, treat, exit_ = (model.dof_list.index((1, 2)),
+                               model.dof_list.index((0, 0)),
+                               model.dof_list.index((2, 2)))
         result = run_starts(model, net, Marking.initial(net, [0, 1]),
                             [(0.0, enter), (1.0, treat), (3.0, exit_)])
         assert all(cost == 0.0 for _, cost in result.cost_series)

@@ -1,11 +1,22 @@
 """Fidelity checks for the two bundled case-study scenarios."""
 
+import json
+
 import numpy as np
+import pytest
 
 from carenets.coordination import HealthAction
 from carenets.health import HealthEventKind, HealthMarking
 
-from helpers import run_health_actions
+from helpers import ACUTE, CHRONIC, run_health_actions
+
+
+@pytest.mark.parametrize("path", [ACUTE, CHRONIC], ids=lambda p: p.stem)
+def test_fixture_is_canonical_json(path):
+    # The fixtures are edited by hand; this keeps them in the one form
+    # json.dumps gives them.
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestAcuteFixture:
@@ -33,7 +44,8 @@ class TestAcuteFixture:
         assert set(np.unique(net.m_minus)) <= {0.0, 1.0}
         assert set(np.unique(net.m_plus)) <= {0.0, 1.0}
         # the last event cycles back to the healthy state
-        restore = net.event_index("Restore knee function")
+        restore = [ev.name for ev in net.events].index(
+            "Restore knee function")
         assert net.m_plus[healthy, restore] == 1.0
 
     def test_replay_outcome_recovers_fully(self, acute):
@@ -47,7 +59,7 @@ class TestAcuteFixture:
 class TestChronicFixture:
     def test_declares_exactly_seven_capabilities(self, chronic_doc, chronic):
         assert len(chronic_doc.data["knowledge_base"]) == 7
-        assert chronic.model.knowledge.count == 7
+        assert len(chronic.model.knowledge.coords) == 7
         assert chronic.model.dof_count == 7
 
     def test_available_transport_is_enter_and_exit(self, chronic):
@@ -97,7 +109,7 @@ class TestChronicFixture:
     def test_spontaneous_branching_event_sampling(self, chronic):
         # route a branching stochastic event through the spontaneous path
         net = chronic.individuals[0].net
-        therapy = net.event_index(
+        therapy = [ev.name for ev in net.events].index(
             "Treat residual disease after near-total resection")
         spontaneous = net.events[therapy].__class__(
             therapy, "spontaneous variant", HealthEventKind.STOCHASTIC)

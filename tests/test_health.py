@@ -300,6 +300,20 @@ class TestValidation:
                       np.array([[0.0], [1.0]]),
                       np.array([1.0, 1.5]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("target, check", [
+        ("m_minus", "health-event-normalization"),
+        ("m_plus", "health-event-normalization"),
+        ("values", "health-values")])
+    def test_non_finite_entry_rejected(self, target, check, value):
+        arrays = {"m_minus": np.array([[1.0], [0.0]]),
+                  "m_plus": np.array([[0.0], [1.0]]),
+                  "values": np.array([1.0, 0.0])}
+        arrays[target][1] = value
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), (HealthEvent(0, "e", STOCH),), **arrays)
+        assert err.value.check == check
+
     def test_induced_without_realizer_rejected(self):
         with pytest.raises(ValidationError):
             HealthNet(("a", "b"),

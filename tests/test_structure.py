@@ -4,12 +4,11 @@ import pytest
 from carenets.errors import ValidationError
 from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
                                 ResourceClass, StructuralModel,
-                                aggregate_resources,
                                 apply_chronic_abstraction, boolean_subtract,
                                 build_projection, classify_resource,
-                                compute_dof, enumerate_dof)
+                                enumerate_dof)
 
-from helpers import random_model
+from helpers import aggregate_members, bool_matrix, random_model
 
 F = ResourceClass.TRANSFORMATION
 D = ResourceClass.DECISION
@@ -35,22 +34,22 @@ class TestClassification:
 
 class TestBooleanSubtract:
     def test_elementwise(self):
-        j = BoolMatrix.from_dense([[1, 1], [0, 1]])
-        k = BoolMatrix.from_dense([[0, 1], [0, 0]])
+        j = bool_matrix([[1, 1], [0, 1]])
+        k = bool_matrix([[0, 1], [0, 0]])
         assert boolean_subtract(j, k).to_dense().tolist() == [[1, 0], [0, 1]]
 
     def test_no_constraints_keeps_knowledge(self):
-        j = BoolMatrix.from_dense([[1, 0, 1], [1, 1, 0]])
+        j = bool_matrix([[1, 0, 1], [1, 1, 0]])
         assert boolean_subtract(j, BoolMatrix.zeros(j.shape)) == j
 
     def test_empty_knowledge_absorbs(self):
-        k = BoolMatrix.from_dense([[1, 1], [1, 1]])
+        k = bool_matrix([[1, 1], [1, 1]])
         j = BoolMatrix.zeros(k.shape)
-        assert boolean_subtract(j, k).count == 0
+        assert boolean_subtract(j, k).coords == frozenset()
 
     def test_self_subtraction_empties(self):
-        j = BoolMatrix.from_dense([[1, 0], [1, 1]])
-        assert boolean_subtract(j, j).count == 0
+        j = bool_matrix([[1, 0], [1, 1]])
+        assert boolean_subtract(j, j).coords == frozenset()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -58,21 +57,21 @@ class TestBooleanSubtract:
                              BoolMatrix.zeros((2, 3)))
 
     def test_constraint_outside_knowledge_is_vacuous(self):
-        j = BoolMatrix.from_dense([[1, 0]])
-        k = BoolMatrix.from_dense([[0, 1]])
+        j = bool_matrix([[1, 0]])
+        k = bool_matrix([[0, 1]])
         assert boolean_subtract(j, k) == j
 
 
 class TestDofEnumeration:
     def test_zeros(self):
-        assert compute_dof(BoolMatrix.zeros((3, 4))) == 0
+        assert enumerate_dof(BoolMatrix.zeros((3, 4))) == []
 
     def test_identity_order(self):
-        a = BoolMatrix.from_dense(np.eye(2, dtype=int))
+        a = bool_matrix(np.eye(2, dtype=int))
         assert enumerate_dof(a) == [(0, 0), (1, 1)]
 
     def test_resource_major_order(self):
-        a = BoolMatrix.from_dense([[1, 1], [1, 0]])
+        a = bool_matrix([[1, 1], [1, 0]])
         assert enumerate_dof(a) == [(0, 0), (1, 0), (0, 1)]
 
     def test_count_matches_enumeration(self):
@@ -80,8 +79,8 @@ class TestDofEnumeration:
         for _ in range(50):
             dense = (rng.random((rng.integers(1, 7),
                                  rng.integers(1, 7))) < 0.3).astype(int)
-            a = BoolMatrix.from_dense(dense)
-            assert compute_dof(a) == len(enumerate_dof(a)) == dense.sum()
+            a = bool_matrix(dense)
+            assert len(a.coords) == len(enumerate_dof(a)) == dense.sum()
 
 
 class TestProjection:
@@ -97,18 +96,18 @@ class TestProjection:
         for _ in range(50):
             dense = (rng.random((rng.integers(1, 8),
                                  rng.integers(1, 8))) < 0.4).astype(int)
-            a = BoolMatrix.from_dense(dense)
+            a = bool_matrix(dense)
             proj = build_projection(a)
             assert np.array_equal(proj.apply(a.vec_dense()),
-                                  np.ones(a.count, dtype=int))
+                                  np.ones(len(a.coords), dtype=int))
             assert np.array_equal(proj.to_dense() @ a.vec_dense(),
-                                  np.ones(a.count, dtype=int))
+                                  np.ones(len(a.coords), dtype=int))
 
 
 def tiny_model(constraints=()):
     resources = [Resource(0, "ward", F), Resource(1, "desk", D),
                  Resource(2, "scanner", M),
-                 Resource(3, "porter", N, human=True)]
+                 Resource(3, "porter", N)]
     processes = [Process(0, "treat", F), Process(1, "advise", D),
                  Process(2, "scan", M),
                  Process(3, "move to scanner", N, origin=0, destination=2),
@@ -126,7 +125,7 @@ class TestModelValidation:
 
     def test_block_mask_rejects_transform_at_transport(self):
         resources = [Resource(0, "ward", F),
-                     Resource(1, "porter", N, human=True)]
+                     Resource(1, "porter", N)]
         processes = [Process(0, "treat", F)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [(0, 1)])
@@ -146,7 +145,7 @@ class TestModelValidation:
 
     def test_transport_needs_endpoints(self):
         resources = [Resource(0, "ward", F),
-                     Resource(1, "porter", N, human=True)]
+                     Resource(1, "porter", N)]
         processes = [Process(0, "move", N)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [(0, 1)])
@@ -163,19 +162,18 @@ class TestAggregation:
     def test_identity_keeps_buffers(self):
         model = tiny_model()
         agg = Aggregation(("a", "b", "c"),
-                          BoolMatrix.from_dense(np.eye(3, dtype=int)))
-        groups = aggregate_resources(agg, model.buffers)
-        assert [[r.name for r in g] for g in groups] == \
+                          bool_matrix(np.eye(3, dtype=int)))
+        assert aggregate_members(agg, model.buffers) == \
             [["ward"], ["desk"], ["scanner"]]
 
     def test_functional_grouping(self):
         # a human specialist and their technical theatre act as one place
-        surgeon = Resource(0, "surgeon", F, human=True)
+        surgeon = Resource(0, "surgeon", F)
         theatre = Resource(1, "operating room", F)
         agg = Aggregation(("surgical theatre",),
                           BoolMatrix.from_pairs((1, 2), [(0, 0), (0, 1)]))
-        groups = aggregate_resources(agg, (surgeon, theatre))
-        assert [r.name for r in groups[0]] == ["surgeon", "operating room"]
+        assert aggregate_members(agg, (surgeon, theatre)) == \
+            [["surgeon", "operating room"]]
 
     def test_unassigned_buffer_rejected(self):
         with pytest.raises(ValidationError):
@@ -190,7 +188,7 @@ class TestAggregation:
 def clinic_model():
     resources = [Resource(0, "ward", F), Resource(1, "lab", M),
                  Resource(2, "outside clinic", M),
-                 Resource(3, "patient", N, human=True)]
+                 Resource(3, "patient", N)]
     processes = [Process(0, "treat", F), Process(1, "test", M),
                  Process(2, "monitor", M),
                  Process(3, "ward to lab", N, origin=0, destination=1),
@@ -218,16 +216,16 @@ class TestChronicAbstraction:
         assert reduced.aggregation is not None
         assert set(reduced.aggregation.names) == \
             {"outside clinic", "healthcare clinic"}
-        groups = aggregate_resources(reduced.aggregation, reduced.buffers)
         by_name = dict(zip(reduced.aggregation.names,
-                           [[r.name for r in g] for g in groups]))
+                           aggregate_members(reduced.aggregation,
+                                             reduced.buffers)))
         assert by_name["outside clinic"] == ["outside clinic"]
         assert sorted(by_name["healthcare clinic"]) == ["lab", "ward"]
 
     def test_nothing_to_eliminate_keeps_dofs(self):
         resources = [Resource(0, "ward", F),
                      Resource(1, "outside clinic", M),
-                     Resource(2, "patient", N, human=True)]
+                     Resource(2, "patient", N)]
         processes = [Process(0, "treat", F),
                      Process(1, "enter", N, origin=1, destination=0),
                      Process(2, "exit", N, origin=0, destination=1)]
@@ -239,7 +237,7 @@ class TestChronicAbstraction:
 
     def test_missing_outside_buffer_rejected(self):
         resources = [Resource(0, "ward", F),
-                     Resource(1, "patient", N, human=True)]
+                     Resource(1, "patient", N)]
         processes = [Process(0, "treat", F)]
         model = StructuralModel.build(resources, processes, [(0, 0)])
         with pytest.raises(ValidationError):
@@ -259,8 +257,7 @@ class TestChronicAbstraction:
                 continue
             tried += 1
             clinic = [b.id for b in model.buffers if b.id != 0]
-            reduced = apply_chronic_abstraction(
-                model, clinic, outside_name="buffer 0")
+            reduced = apply_chronic_abstraction(model, clinic)
             assert reduced.dof_count <= model.dof_count
             before = {(w, v) for w, v in model.dof_list
                       if not model.processes[w].is_transport}
