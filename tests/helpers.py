@@ -7,7 +7,9 @@ list and writes each transition's origin and destination row directly.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -281,3 +283,55 @@ def random_health_walk(rng: np.random.Generator, net: HealthNet,
         u_plus[event] = magnitude
         emit(np.zeros(net.n_events), u_plus)
     return pulses
+
+
+# Report writers as they were before rows were built as strings: every
+# row goes through csv.writer, so csv's own quoting rule decides each
+# field. The report tests require the production writers' bytes to equal
+# these.
+
+def _fmt(value) -> str:
+    if isinstance(value, float) and value == int(value):
+        return str(int(value))
+    return str(value)
+
+
+def oracle_write_trace_csv(path: Path, result: RunResult) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "net", "event_label", "psi_or_event_index",
+                         "kind"])
+        for row in result.trace:
+            writer.writerow([_fmt(row.time), row.net, row.label,
+                             row.index, row.kind])
+
+
+def oracle_write_delivery_csv(path: Path, result: RunResult,
+                              place_names: Sequence[str]) -> None:
+    running = 0.0
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "event_index", "psi", "kind"]
+                        + [f"place:{name}" for name in place_names]
+                        + ["cumulative_cost"])
+        pending = list(result.cost_series[1:])
+        next_cost = 0
+        for index, point in enumerate(result.delivery_trajectory):
+            if point.record is not None and \
+                    point.record.kind.value == "complete":
+                running = pending[next_cost][1]
+                next_cost += 1
+            psi = "" if point.record is None else point.record.psi
+            kind = "initial" if point.record is None else \
+                point.record.kind.value
+            writer.writerow([_fmt(point.time), index, psi, kind]
+                            + [int(c) for c in point.marking.place_tokens]
+                            + [_fmt(running)])
+
+
+def oracle_write_outcomes_csv(path: Path, result: RunResult) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", "individual_id", "outcome"])
+        for time, individual, outcome in result.outcome_series:
+            writer.writerow([_fmt(time), individual, _fmt(outcome)])
