@@ -8,6 +8,7 @@ scenario, flags, and seed; nothing time-of-day dependent is written.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Sequence
 
@@ -22,45 +23,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _quote(field: str) -> str:
+    """``field`` as csv.writer writes it within a row: quoted, with ``"``
+    doubled, only when it holds a comma, a quote or a line break."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((field, ""))
+    return buffer.getvalue()[:-3]  # the trailing empty field and CRLF
+
+
+class _Memo(dict):
+    """Dict that fills a missing key with ``convert(key)``, so each
+    distinct time, value or name is formatted once per file."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _write(path: Path, rows: list[str]) -> None:
+    path.write_text("".join(rows), encoding="utf-8", newline="")
+
+
 def write_trace_csv(path: Path, result: RunResult) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "net", "event_label", "psi_or_event_index",
-                         "kind"])
-        for row in result.trace:
-            writer.writerow([_fmt(row.time), row.net, row.label,
-                             row.index, row.kind])
+    times, names = _Memo(_fmt), _Memo(_quote)
+    rows = ["time,net,event_label,psi_or_event_index,kind\r\n"]
+    rows += [f"{times[time]},{names[net]},{names[label]},{index},{kind}\r\n"
+             for time, net, label, index, kind in result.trace]
+    _write(path, rows)
 
 
 def write_delivery_csv(path: Path, result: RunResult,
                        place_names: Sequence[str]) -> None:
-    running = 0.0
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "event_index", "psi", "kind"]
-                        + [f"place:{name}" for name in place_names]
-                        + ["cumulative_cost"])
-        pending = list(result.cost_series[1:])
-        next_cost = 0
-        for index, point in enumerate(result.delivery_trajectory):
-            if point.record is not None and \
-                    point.record.kind.value == "complete":
-                running = pending[next_cost][1]
-                next_cost += 1
-            psi = "" if point.record is None else point.record.psi
-            kind = "initial" if point.record is None else \
-                point.record.kind.value
-            writer.writerow([_fmt(point.time), index, psi, kind]
-                            + [int(c) for c in point.marking.place_tokens]
-                            + [_fmt(running)])
+    times = _Memo(_fmt)
+    # each distinct token vector joined once, keyed by its raw bytes
+    joined: dict[bytes, str] = {}
+    places = "".join(f"{_quote(f'place:{name}')}," for name in place_names)
+    rows = [f"time,event_index,psi,kind,{places}cumulative_cost\r\n"]
+    running = "0"
+    costs = iter(result.cost_series[1:])
+    for index, (time, record, marking) in enumerate(
+            result.delivery_trajectory):
+        if record is None:
+            psi, kind = "", "initial"
+        else:
+            psi, kind = record.psi, record.kind.value
+            if kind == "complete":
+                running = times[next(costs)[1]]
+        key = marking.place_tokens.tobytes()
+        tokens = joined.get(key)
+        if tokens is None:
+            tokens = joined[key] = "".join(
+                f"{int(c)}," for c in marking.place_tokens)
+        rows.append(f"{times[time]},{index},{psi},{kind},{tokens}"
+                    f"{running}\r\n")
+    _write(path, rows)
 
 
 def write_outcomes_csv(path: Path, result: RunResult) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "individual_id", "outcome"])
-        for time, individual, outcome in result.outcome_series:
-            writer.writerow([_fmt(time), individual, _fmt(outcome)])
+    values, ids = _Memo(_fmt), _Memo(_quote)
+    rows = ["time,individual_id,outcome\r\n"]
+    rows += [f"{values[time]},{ids[individual]},{values[outcome]}\r\n"
+             for time, individual, outcome in result.outcome_series]
+    _write(path, rows)
 
 
 def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
