@@ -167,16 +167,31 @@ def _count(value):
     return value if whole and -2 ** 63 <= value < 2 ** 63 else _BAD
 
 
+def _string(value):
+    """``value`` if it is a string that UTF-8 can encode, else _BAD. A JSON
+    ``\\ud800`` escape can put a lone surrogate in a string, and UTF-8
+    cannot encode one."""
+    if not isinstance(value, str):
+        return _BAD
+    if value.isascii():
+        return value
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return _BAD
+    return value
+
+
 def _names(value, size=None):
     ok = (isinstance(value, list) and value
-          and all(isinstance(x, str) for x in value)
+          and all(_string(x) is not _BAD for x in value)
           and size in (None, len(value)))
     return value if ok else _BAD
 
 
 #: Scalar name -> (normalize a value or return _BAD, what a valid one is).
 _SCALARS = {
-    "string": (lambda v: v if isinstance(v, str) else _BAD, "a string"),
+    "string": (_string, "a string"),
     "boolean": (lambda v: v if isinstance(v, bool) else _BAD,
                 "true or false"),
     "count": (_count, "a whole number"),
@@ -214,8 +229,36 @@ def _shown(value) -> str:
 
 
 def _expected(col: _Collector, path, what: str, value) -> None:
+    unencodable = _unencodable(value)
+    if unencodable is not None:
+        _not_utf8(col, path, unencodable)
+        return
     col.add("schema", f"{_where(path) or 'document'}: expected {what}, got "
                       f"{_shown(value)}")
+
+
+def _unencodable(value) -> str | None:
+    """The string, or first string of a list, that UTF-8 cannot encode."""
+    items = value if isinstance(value, list) else [value]
+    return next((item for item in items if isinstance(item, str)
+                 and _string(item) is _BAD), None)
+
+
+def _not_utf8(col: _Collector, path, text: str, key: bool = False) -> None:
+    col.add("schema", f"{_where(path) or 'document'}: {'key ' if key else ''}"
+                      f"{text!r} is not text that UTF-8 can encode")
+
+
+def _encodable_keys(value: dict, path, col: _Collector) -> dict:
+    """``value`` without the keys UTF-8 cannot encode, each reported, so
+    that no failure path holds one."""
+    kept = {}
+    for key, item in value.items():
+        if isinstance(key, str) and _string(key) is _BAD:
+            _not_utf8(col, path, key, key=True)
+        else:
+            kept[key] = item
+    return kept
 
 
 def _child(node):
@@ -238,11 +281,17 @@ def _weights(weight_node: str):
 
     def check(value, path, col):
         if isinstance(value, str):
+            if _string(value) is _BAD:
+                _not_utf8(col, path, value)
             return {value: 1.0}
         if isinstance(value, list):
             if _names(value) is _BAD:
-                col.add("schema",
-                        f"{_where(path)}: branch list must name states")
+                unencodable = _unencodable(value)
+                if unencodable is not None:
+                    _not_utf8(col, path, unencodable)
+                else:
+                    col.add("schema",
+                            f"{_where(path)}: branch list must name states")
                 return None
             return dict.fromkeys(value, 1.0 / len(value))
         if isinstance(value, dict):
@@ -278,6 +327,8 @@ def _mapping(item_node):
         if not isinstance(value, dict):
             _expected(col, path, "an object", value)
             return None
+        if not all(isinstance(key, str) and key.isascii() for key in value):
+            value = _encodable_keys(value, path, col)
         if item_check is not None:
             return {key: item_check(item, (path, key), col)
                     for key, item in value.items()}

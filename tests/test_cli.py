@@ -104,6 +104,23 @@ class TestSimulateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_text_utf8_cannot_encode_is_rejected_at_load(self, tmp_path,
+                                                         capsys):
+        # a valid JSON escape for a lone surrogate, as an individual id
+        path = tmp_path / "surrogate.json"
+        path.write_text(read(ACUTE).replace('"adam"', '"pa\\ud800tient"'),
+                        encoding="utf-8")
+        message = ("individuals[0].id: 'pa\\ud800tient' is not text that "
+                   "UTF-8 can encode")
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  schema" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[schema] {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_runs_flag_merges_statistics(self, tmp_path):
         out = tmp_path / "mc"
         assert main(["simulate", str(CHRONIC), "--mode", "sample",

@@ -436,6 +436,22 @@ MESSAGES = {
                         "healthy"), True),
                   "assumed_values.health_state_values.patient.healthy: "
                   "expected a finite number, got true"),
+    # a lone surrogate (a JSON "\ud800" escape) that UTF-8 cannot encode
+    "surrogate": (_set(("title",), "a\ud800"),
+                  "title: 'a\\ud800' is not text that UTF-8 can encode"),
+    "surrogate-pair": (_set(("knowledge_base", 0), ["x\udc00", "y"]),
+                       "knowledge_base[0]: 'x\\udc00' is not text that "
+                       "UTF-8 can encode"),
+    "surrogate-state": (_set((*_RESECT, "consumes"), "s\ud800"),
+                        "individuals[0].health_events[2].consumes: "
+                        "'s\\ud800' is not text that UTF-8 can encode"),
+    "surrogate-branch": (_set((*_RESECT, "produces"), ["healthy", "\udfff"]),
+                         "individuals[0].health_events[2].produces: "
+                         "'\\udfff' is not text that UTF-8 can encode"),
+    "surrogate-key": (_set(("assumed_values", "health_state_values",
+                            "patient", "\ud800"), 1.0),
+                      "assumed_values.health_state_values.patient: key "
+                      "'\\ud800' is not text that UTF-8 can encode"),
 }
 
 
