@@ -83,7 +83,12 @@ class HealthNet:
         if _outside_unit(self.values):
             raise ValidationError("state values must lie in [0, 1]",
                                   check="health-values")
-        for ev in self.events:
+        for position, ev in enumerate(self.events):
+            # feasibility rows and the kernel's tables index by ev.index
+            if ev.index != position:
+                raise ValidationError(
+                    f"event {ev.name!r} at position {position} carries "
+                    f"index {ev.index}")
             if ev.duration < 0:
                 raise ValidationError(
                     f"event {ev.name!r} has negative duration")

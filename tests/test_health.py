@@ -322,6 +322,17 @@ class TestValidation:
                       np.array([[0.0], [1.0]]),
                       np.array([1.0, 0.0]))
 
+    def test_event_index_must_match_position(self):
+        events = (HealthEvent(1, "operate", INDUCED,
+                              realized_by=("surgery",)),
+                  HealthEvent(0, "relapse", STOCH))
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), events,
+                      np.array([[1.0, 0.0], [0.0, 1.0]]),
+                      np.array([[0.0, 1.0], [1.0, 0.0]]),
+                      np.array([1.0, 0.0]))
+        assert "'operate' at position 0 carries index 1" in str(err.value)
+
     def test_unit_mass_check(self):
         net = chain_net()
         check_unit_mass(HealthMarking.point(net, "a"))
