@@ -1,8 +1,10 @@
 """Run outputs: synchronized trace, delivery trajectory, outcome series.
 
 All outputs are UTF-8 CSV with a header row and dot decimal separators,
-plus a plain-text run summary. Output content is a pure function of the
-scenario, flags, and seed; nothing time-of-day dependent is written.
+in csv.writer's dialect (CRLF line ends, a field quoted only when it
+needs to be), plus a plain-text run summary. Output content is a pure
+function of the scenario, flags, and seed; nothing time-of-day dependent
+is written.
 """
 
 from __future__ import annotations
@@ -44,16 +46,12 @@ class _Memo(dict):
         return value
 
 
-def _write(path: Path, rows: list[str]) -> None:
-    path.write_text("".join(rows), encoding="utf-8", newline="")
-
-
 def write_trace_csv(path: Path, result: RunResult) -> None:
     times, names = _Memo(_fmt), _Memo(_quote)
     rows = ["time,net,event_label,psi_or_event_index,kind\r\n"]
     rows += [f"{times[time]},{names[net]},{names[label]},{index},{kind}\r\n"
              for time, net, label, index, kind in result.trace]
-    _write(path, rows)
+    path.write_text("".join(rows), encoding="utf-8", newline="")
 
 
 def write_delivery_csv(path: Path, result: RunResult,
@@ -80,7 +78,7 @@ def write_delivery_csv(path: Path, result: RunResult,
                 f"{int(c)}," for c in marking.place_tokens)
         rows.append(f"{times[time]},{index},{psi},{kind},{tokens}"
                     f"{running}\r\n")
-    _write(path, rows)
+    path.write_text("".join(rows), encoding="utf-8", newline="")
 
 
 def write_outcomes_csv(path: Path, result: RunResult) -> None:
@@ -88,7 +86,7 @@ def write_outcomes_csv(path: Path, result: RunResult) -> None:
     rows = ["time,individual_id,outcome\r\n"]
     rows += [f"{values[time]},{ids[individual]},{values[outcome]}\r\n"
              for time, individual, outcome in result.outcome_series]
-    _write(path, rows)
+    path.write_text("".join(rows), encoding="utf-8", newline="")
 
 
 def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
