@@ -234,7 +234,6 @@ class HealthCompletion(NamedTuple):
     individual: str
     event: int
     column: np.ndarray
-    magnitude: float
 
 
 def cosimulate(net: DeliveryNet, initial: Marking,
@@ -327,14 +326,12 @@ def cosimulate(net: DeliveryNet, initial: Marking,
             (time, ind_id, float(values[ind_id] @ current.state_mass)))
         result.mass_checks.append((time, ind_id, current.total_mass))
 
-    def start_health_event(time, ind_id, event, outcome, magnitude):
+    def start_health_event(time, ind_id, event, outcome):
         hnet = by_id[ind_id].net
-        markings[ind_id] = health.start_event(hnet, markings[ind_id], event,
-                                              magnitude)
-        column, _ = health.resolve_output(hnet, event, outcome=outcome,
-                                          rng=rng)
+        markings[ind_id] = health.start_event(hnet, markings[ind_id], event)
+        column = health.resolve_output(hnet, event, outcome=outcome, rng=rng)
         push(time + hnet.events[event].duration, complete_order,
-             HealthCompletion(ind_id, event, column, magnitude))
+             HealthCompletion(ind_id, event, column))
         trace.append(TraceRow(time, health_net[ind_id],
                               hnet.events[event].name, event, start))
         record_outcome(time, ind_id)
@@ -369,7 +366,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                               selector[:, psi])
                     result.coupling_checks.append(
                         CouplingCheck(time, psi, ind_id, residual))
-                    start_health_event(time, ind_id, ev, event.outcome, 1.0)
+                    start_health_event(time, ind_id, ev, event.outcome)
 
                 case DeliveryCompletion(psi=psi):
                     marking = step(net, marking, zero, pulses[psi])
@@ -404,17 +401,13 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                         raise AmbiguousHealthEventError(
                             f"several scheduled health events are enabled "
                             f"at once: {names}")
-                    magnitude = 1.0 if rng is not None else \
-                        health.enabled_magnitude(hnet, markings[ind_id],
-                                                 enabled[0])
                     start_health_event(time, ind_id, enabled[0],
-                                       event.outcome, magnitude)
+                                       event.outcome)
 
-                case HealthCompletion(event=ev, column=column,
-                                      magnitude=magnitude):
+                case HealthCompletion(event=ev, column=column):
                     hnet = by_id[ind_id].net
                     markings[ind_id] = health.apply_completion(
-                        hnet, markings[ind_id], ev, column, magnitude)
+                        hnet, markings[ind_id], ev, column)
                     trace.append(TraceRow(time, health_net[ind_id],
                                           hnet.events[ev].name, ev, complete))
                     record_outcome(time, ind_id)

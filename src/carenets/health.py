@@ -6,6 +6,12 @@ over states plus mass held by events that are currently firing. Events are
 either induced (realized by a transformation capability of the delivery
 system) or stochastic (spontaneous, like disease onset or progression).
 
+Every firing moves one unit of mass: a start takes each input state's
+arc weight out of that state, so an event is enabled when each input
+state holds its weight, and the completion delivers the unit along one
+output column. :func:`fuzzy_step` keeps the general form over
+fractional firing vectors as the oracle of these column forms.
+
 An event with several output arcs is a branching clinical outcome. A
 firing can either spread its mass over the branches according to the
 declared weights, realize one named branch, or realize a branch drawn by
@@ -204,17 +210,10 @@ def health_outcome(values: np.ndarray, state_mass: np.ndarray) -> float:
     return float(values @ state_mass)
 
 
-def enabled_magnitude(net: HealthNet, marking: HealthMarking,
-                      event: int) -> float:
-    """Largest firing magnitude the input states can currently support."""
-    column = net.m_minus[:, event]
-    support = np.nonzero(column)[0]
-    return float((marking.state_mass[support] / column[support]).min())
-
-
-def is_enabled(net: HealthNet, marking: HealthMarking, event: int,
-               magnitude: float = 1.0) -> bool:
-    return bool((marking.state_mass - net.m_minus[:, event] * magnitude)
+def is_enabled(net: HealthNet, marking: HealthMarking, event: int) -> bool:
+    """Whether every input state holds the event's ``consumes`` weight,
+    the mass one firing takes from it."""
+    return bool((marking.state_mass - net.m_minus[:, event])
                 .min(initial=0.0) >= -ENABLE_TOL)
 
 
@@ -228,49 +227,46 @@ def sample_branch(net: HealthNet, event: int,
 
 def resolve_output(net: HealthNet, event: int,
                    outcome: int | None = None,
-                   rng: np.random.Generator | None = None,
-                   ) -> tuple[np.ndarray, int | None]:
+                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Output column for a firing: sampled branch, named branch, or the
     declared weighted spread, in that order of precedence."""
     if rng is not None:
-        state = sample_branch(net, event, rng)
-        column = np.zeros(net.n_states)
-        column[state] = 1.0
-        return column, state
-    if outcome is not None:
-        if net.m_plus[outcome, event] <= 0:
-            raise ValidationError(
-                f"state {net.state_names[outcome]!r} is not an outcome of "
-                f"event {net.events[event].name!r}")
-        column = np.zeros(net.n_states)
-        column[outcome] = 1.0
-        return column, outcome
-    return net.m_plus[:, event].copy(), None
+        outcome = sample_branch(net, event, rng)
+    elif outcome is None:
+        return net.m_plus[:, event].copy()
+    elif net.m_plus[outcome, event] <= 0:
+        raise ValidationError(
+            f"state {net.state_names[outcome]!r} is not an outcome of "
+            f"event {net.events[event].name!r}")
+    column = np.zeros(net.n_states)
+    column[outcome] = 1.0
+    return column
 
 
-def start_event(net: HealthNet, marking: HealthMarking, event: int,
-                magnitude: float) -> HealthMarking:
-    """Start one event, pulling mass out of its input column: the column
-    form of :func:`fuzzy_step` with a single nonzero start entry."""
-    state_mass = marking.state_mass - net.m_minus[:, event] * magnitude
+def start_event(net: HealthNet, marking: HealthMarking,
+                event: int) -> HealthMarking:
+    """Start one event, pulling one unit of firing out of its input
+    column: the column form of :func:`fuzzy_step` with a single unit
+    start entry."""
+    state_mass = marking.state_mass - net.m_minus[:, event]
     if state_mass.min(initial=0.0) < -ENABLE_TOL:
         state = int(state_mass.argmin())
         raise NotEnabledError(
             f"health event {net.events[event].name!r} not enabled: "
             f"state {net.state_names[state]!r} lacks mass")
     event_mass = marking.event_mass.copy()
-    event_mass[event] += magnitude
+    event_mass[event] += 1.0
     return HealthMarking(state_mass, event_mass)
 
 
 def apply_completion(net: HealthNet, marking: HealthMarking, event: int,
-                     column: np.ndarray, magnitude: float) -> HealthMarking:
-    """Complete an in-flight event, delivering mass along ``column``."""
-    if marking.event_mass[event] - magnitude < -ENABLE_TOL:
+                     column: np.ndarray) -> HealthMarking:
+    """Complete one unit of an in-flight event, delivering its mass
+    along ``column``."""
+    if marking.event_mass[event] - 1.0 < -ENABLE_TOL:
         raise NotEnabledError(
             f"health event {net.events[event].name!r} completion exceeds "
             f"its in-flight mass")
-    state_mass = marking.state_mass + column * magnitude
     event_mass = marking.event_mass.copy()
-    event_mass[event] -= magnitude
-    return HealthMarking(state_mass, event_mass)
+    event_mass[event] -= 1.0
+    return HealthMarking(marking.state_mass + column, event_mass)

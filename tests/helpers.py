@@ -248,8 +248,14 @@ def random_health_net(rng: np.random.Generator,
 
 def random_health_walk(rng: np.random.Generator, net: HealthNet,
                        marking: HealthMarking, steps: int = 12,
+                       unit: bool = False,
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Feasible fractional (u_minus, u_plus) firing sequence from ``marking``."""
+    """Feasible (u_minus, u_plus) firing sequence from ``marking``.
+
+    Each start fires a fraction of the largest magnitude its input states
+    support, or exactly one unit when ``unit`` is set, the magnitude of
+    every firing in the kernel. Each start is completed later along the
+    event's whole output column with the same magnitude."""
     from carenets import health
 
     pulses: list[tuple[np.ndarray, np.ndarray]] = []
@@ -260,6 +266,11 @@ def random_health_walk(rng: np.random.Generator, net: HealthNet,
         marking = health.fuzzy_step(net, marking, u_minus, u_plus)
         pulses.append((u_minus, u_plus))
 
+    def supported(event):
+        column = net.m_minus[:, event]
+        support = np.flatnonzero(column)
+        return float((marking.state_mass[support] / column[support]).min())
+
     for _ in range(steps):
         if in_flight and rng.random() < 0.5:
             event, magnitude = in_flight.pop(0)
@@ -267,13 +278,13 @@ def random_health_walk(rng: np.random.Generator, net: HealthNet,
             u_plus[event] = magnitude
             emit(np.zeros(net.n_events), u_plus)
             continue
-        choices = [e for e in range(net.n_events)
-                   if health.enabled_magnitude(net, marking, e) > 1e-6]
+        floor = 1.0 - 1e-12 if unit else 1e-6
+        choices = [e for e in range(net.n_events) if supported(e) > floor]
         if not choices:
             break
         event = int(rng.choice(choices))
-        magnitude = health.enabled_magnitude(net, marking, event) \
-            * float(rng.uniform(0.3, 1.0))
+        magnitude = 1.0 if unit else \
+            supported(event) * float(rng.uniform(0.3, 1.0))
         u_minus = np.zeros(net.n_events)
         u_minus[event] = magnitude
         in_flight.append((event, magnitude))
