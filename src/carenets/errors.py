@@ -50,9 +50,11 @@ class SimulationError(CareNetsError):
 
 
 class ScenarioError(CareNetsError):
-    """A scenario document failed to load. Collects every failure found."""
+    """A scenario document failed to load. Collects every failure found
+    and, in ``skipped``, the checks an earlier failure kept from running."""
 
-    def __init__(self, failures):
+    def __init__(self, failures, skipped=()):
         self.failures = list(failures)
+        self.skipped = tuple(skipped)
         lines = [f"[{check}] {message}" for check, message in self.failures]
         super().__init__("scenario failed validation:\n" + "\n".join(lines))

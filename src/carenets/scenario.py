@@ -31,8 +31,10 @@ from .coordination import (DeliveryAction, HealthAction, Individual,
 from .delivery import DeliveryNet, Marking
 from .errors import ScenarioError, ValidationError
 from .health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
-from .structure import (Aggregation, BoolMatrix, Resource, ResourceClass,
-                        Process, StructuralModel, apply_chronic_abstraction)
+from .structure import (BUILD_CHECKS, Aggregation, BoolMatrix, Resource,
+                        ResourceClass, Process, StructuralModel,
+                        apply_chronic_abstraction,
+                        transport_endpoint_failures)
 
 SCHEMA_VERSION = 1
 DEFAULT_KEY = "default"
@@ -49,22 +51,37 @@ CHECKS = (
 )
 
 
+def _after(check: str) -> tuple[str, ...]:
+    """The checks listed after ``check``. Each stage of loading runs the
+    checks listed after the previous stage's, so a failure that stops
+    loading at a stage keeps these from running."""
+    return CHECKS[CHECKS.index(check) + 1:]
+
+
 def dof_key(process: str, resource: str) -> str:
     """Key addressing one degree of freedom in duration/cost tables."""
     return f"{process} @ {resource}"
 
 
 class _Collector:
-    """Accumulates (check, message) validation failures."""
+    """Accumulates (check, message) validation failures and the checks
+    that a failure kept from running."""
 
     def __init__(self):
         self.failures: list[tuple[str, str]] = []
+        self.skipped: list[str] = []
 
     def add(self, check: str, message: str) -> None:
         self.failures.append((check, message))
 
     def grab(self, exc: ValidationError) -> None:
         self.failures.append((exc.check, str(exc)))
+
+    def skip(self, checks: tuple[str, ...]) -> None:
+        self.skipped.extend(checks)
+
+    def error(self) -> ScenarioError:
+        return ScenarioError(self.failures, self.skipped)
 
     def __bool__(self) -> bool:
         return bool(self.failures)
@@ -452,11 +469,14 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
     buffer_index = {r.name: r.id for r in resources if r.is_buffer}
 
     processes = []
+    lacking = []  # transport processes the document gives no endpoint
     for new_id, spec in enumerate(by_rank(data.get("processes", []))):
         cls = _CLASS_NAMES[spec["class"]]
         origin = destination = None
         if cls is ResourceClass.TRANSPORTATION:
             # StructuralModel.build reports a missing endpoint
+            if "origin" not in spec or "destination" not in spec:
+                lacking.append(new_id)
             for label in ("origin", "destination"):
                 end = spec.get(label)
                 if end is not None and end not in buffer_index:
@@ -489,6 +509,16 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                                       constraints)
     except ValidationError as exc:
         col.grab(exc)
+        if exc.check == "transport-endpoints":
+            # build names only the first process without two buffer
+            # endpoints; name each other one the document gives none (one
+            # naming a non-buffer is already under cross-references)
+            for message in transport_endpoint_failures(
+                    [processes[w] for w in lacking], resources):
+                if message != str(exc):
+                    col.add(exc.check, message)
+        if exc.check in BUILD_CHECKS:
+            col.skip(BUILD_CHECKS[BUILD_CHECKS.index(exc.check) + 1:])
         return None
 
     if data.get("chronic_abstraction", False):
@@ -505,6 +535,7 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
             model = apply_chronic_abstraction(model, clinic)
         except ValidationError as exc:
             col.grab(exc)
+            col.skip(("aggregation-partition",))
             return None
     elif "aggregation" in data:
         pairs = []
@@ -526,6 +557,7 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                                           aggregation)
         except ValidationError as exc:
             col.grab(exc)
+            col.skip(("aggregation-partition",))
             return None
     return model
 
@@ -628,6 +660,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     data = doc.data
     model = _build_model(data, col)
     if model is None:
+        col.skip(_after("aggregation-partition"))
         return None
 
     assumed = data.get("assumed_values", {})
@@ -651,6 +684,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
         net = DeliveryNet.from_model(model, durations, costs, capacities)
     except ValidationError as exc:
         col.grab(exc)
+        col.skip(_after("capacities"))
         return None
 
     place_index = {name: i for i, name in enumerate(net.place_names)}
@@ -775,8 +809,13 @@ def load_scenario_data(data: Any) -> ScenarioDocument:
         col.add("schema", f"unsupported schema_version "
                           f"{doc.data['schema_version']}; this engine reads "
                           f"version {SCHEMA_VERSION}")
-    compiled = None if col else _compile(doc, col)
-    if compiled is not None:
+    if col:
+        col.skip(_after("schema"))
+        raise col.error()
+    compiled = _compile(doc, col)
+    if compiled is None:
+        col.skip(("projection-identity",))
+    else:
         model = compiled.model
         ones = model.projection.apply(model.concept.vec_dense())
         if not np.array_equal(ones, np.ones(model.dof_count, dtype=int)):
@@ -784,7 +823,7 @@ def load_scenario_data(data: Any) -> ScenarioDocument:
                     "projecting the vectorized concept matrix does not give "
                     "all ones")
     if col:
-        raise ScenarioError(col.failures)
+        raise col.error()
     return doc
 
 
@@ -794,18 +833,20 @@ def load_scenario(path: str | Path) -> ScenarioDocument:
     Raises :class:`ScenarioError` carrying every failure found, or a
     parse failure with its line and column.
     """
+    def failed(message: str) -> ScenarioError:
+        return ScenarioError([("parse", message)], _after("parse"))
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ScenarioError([("parse", str(exc))]) from exc
+        raise failed(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise ScenarioError([("parse", f"{path}: byte {exc.start} is not "
-                                       f"UTF-8")]) from exc
+        raise failed(f"{path}: byte {exc.start} is not UTF-8") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError([("parse", f"{path}: line {exc.lineno} column "
-                                       f"{exc.colno}: {exc.msg}")]) from exc
+        raise failed(f"{path}: line {exc.lineno} column {exc.colno}: "
+                     f"{exc.msg}") from exc
     return load_scenario_data(data)
 
 
@@ -814,7 +855,7 @@ def compile_scenario(doc: ScenarioDocument) -> CompiledScenario:
     col = _Collector()
     compiled = _compile(doc, col)
     if col or compiled is None:
-        raise ScenarioError(col.failures)
+        raise col.error()
     return compiled
 
 
@@ -846,23 +887,23 @@ def validate_file(path: str | Path) -> ValidationReport:
     """Run every check :func:`load_scenario` runs and report each one.
 
     A failure outside :data:`CHECKS` is reported after them, so the
-    report fails exactly when loading would.
+    report fails exactly when loading would. A check that an earlier
+    failure kept from running is reported as skipped, not passed.
     """
     try:
         load_scenario(path)
-        failures = []
+        failures, skipped = [], ()
     except ScenarioError as exc:
-        failures = exc.failures
+        failures, skipped = exc.failures, exc.skipped
     failed: dict[str, list[str]] = {}
     for check, message in failures:
         failed.setdefault(check, []).append(message)
-    parsed = "parse" not in failed
     results = []
     for check in CHECKS + tuple(c for c in failed if c not in CHECKS):
         if check in failed:
             results.append(CheckResult(check, "fail",
                                        tuple(failed[check])))
-        elif not parsed:
+        elif check in skipped:
             results.append(CheckResult(check, "skipped"))
         else:
             results.append(CheckResult(check, "pass"))

@@ -218,6 +218,13 @@ class Aggregation:
                 check="aggregation-partition")
 
 
+#: The checks :meth:`StructuralModel.build` runs, in the order it runs
+#: them. It raises at the first failure, so the checks after it never run.
+BUILD_CHECKS = ("structure", "knowledge-block-mask", "transport-endpoints",
+                "resource-class-consistency", "constraints",
+                "aggregation-partition")
+
+
 @dataclass(frozen=True)
 class StructuralModel:
     """Frozen structural model: entities, knowledge base, constraints, and
@@ -340,24 +347,35 @@ def _check_block_mask(processes, resources, knowledge: BoolMatrix) -> None:
                 f"{resources[v].name!r}", check="knowledge-block-mask")
 
 
-def _check_transport_endpoints(processes, resources) -> None:
+def transport_endpoint_failures(processes, resources) -> list[str]:
+    """One message per process whose transport endpoints are wrong: a
+    transport process lacking an origin or destination buffer, or naming
+    a buffer id that does not exist, or a non-transport process carrying
+    an endpoint."""
     n_buffers = sum(1 for r in resources if r.is_buffer)
+    failures = []
     for p in processes:
-        if p.is_transport:
-            if p.origin is None or p.destination is None:
-                raise ValidationError(
-                    f"transport process {p.name!r} needs an origin and a "
-                    f"destination buffer", check="transport-endpoints")
+        if not p.is_transport:
+            if p.origin is not None or p.destination is not None:
+                failures.append(f"non-transport process {p.name!r} must not "
+                                f"carry transport endpoints")
+        elif p.origin is None or p.destination is None:
+            failures.append(f"transport process {p.name!r} needs an origin "
+                            f"and a destination buffer")
+        else:
             for end, label in ((p.origin, "origin"),
                                (p.destination, "destination")):
                 if not (0 <= end < n_buffers):
-                    raise ValidationError(
-                        f"transport process {p.name!r} {label} {end} is not "
-                        f"a buffer id", check="transport-endpoints")
-        elif p.origin is not None or p.destination is not None:
-            raise ValidationError(
-                f"non-transport process {p.name!r} must not carry transport "
-                f"endpoints", check="transport-endpoints")
+                    failures.append(f"transport process {p.name!r} {label} "
+                                    f"{end} is not a buffer id")
+                    break
+    return failures
+
+
+def _check_transport_endpoints(processes, resources) -> None:
+    failures = transport_endpoint_failures(processes, resources)
+    if failures:
+        raise ValidationError(failures[0], check="transport-endpoints")
 
 
 def _check_declared_classes(processes, resources, knowledge: BoolMatrix) -> None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from carenets.cli import main
 from carenets.errors import ScenarioError
-from carenets.scenario import (compile_scenario, load_scenario,
+from carenets.scenario import (CHECKS, compile_scenario, load_scenario,
                                load_scenario_data, validate_file)
 
 from helpers import ACUTE, CHRONIC
@@ -222,6 +222,19 @@ class TestDefectiveDocuments:
         assert err.value.failures == [
             ("transport-endpoints", "transport process 'Enter clinic' needs "
                                     "an origin and a destination buffer")]
+
+    def test_every_transport_process_lacking_an_endpoint_fails_once(self):
+        data = acute_data()
+        first, second, third = [p for p in data["processes"]
+                                if p["class"] == "transportation"][:3]
+        del first["origin"], second["destination"]
+        del third["origin"], third["destination"]
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert err.value.failures == [
+            ("transport-endpoints", f"transport process {p['name']!r} needs "
+                                    f"an origin and a destination buffer")
+            for p in (first, second, third)]
 
     def test_file_not_utf8_is_a_parse_failure(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -520,6 +533,47 @@ class TestValidateFile:
         by_check = {r.check: r.status for r in report.results}
         assert by_check["parse"] == "fail"
         assert by_check["schedule-references"] == "skipped"
+
+    @staticmethod
+    def statuses(data, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return {r.check: r.status for r in validate_file(path).results}
+
+    def test_schema_failure_skips_every_later_check(self, tmp_path):
+        data = acute_data()
+        data["individuals"][0]["id"] = "pa\ud800tient"
+        statuses = self.statuses(data, tmp_path)
+        assert statuses["parse"] == "pass"
+        assert statuses["schema"] == "fail"
+        assert {statuses[c] for c in CHECKS[2:]} == {"skipped"}
+        assert main(["validate", str(tmp_path / "bad.json")]) == 1
+
+    def test_structural_failure_skips_what_needs_the_model(self, tmp_path,
+                                                           capsys):
+        data = acute_data()
+        transport = [p for p in data["processes"]
+                     if p["class"] == "transportation"]
+        del transport[0]["origin"]
+        statuses = self.statuses(data, tmp_path)
+        assert statuses["transport-endpoints"] == "fail"
+        # build checks before the failing one ran; those after did not
+        assert statuses["knowledge-block-mask"] == "pass"
+        assert statuses["resource-class-consistency"] == "skipped"
+        after = CHECKS[CHECKS.index("constraints"):]
+        assert {statuses[c] for c in after} == {"skipped"}
+        assert main(["validate", str(tmp_path / "bad.json")]) == 1
+        out = capsys.readouterr().out
+        assert "SKIP  durations" in out and "PASS  durations" not in out
+
+    def test_compile_failure_skips_projection_identity(self, tmp_path):
+        data = acute_data()
+        data["assumed_values"]["durations"]["bogus @ nothing"] = 1.0
+        statuses = self.statuses(data, tmp_path)
+        assert statuses["durations"] == "fail"
+        assert statuses["projection-identity"] == "skipped"
+        assert {s for c, s in statuses.items()
+                if c not in ("durations", "projection-identity")} == {"pass"}
 
 
 class TestCompile:
