@@ -3,6 +3,7 @@ import json
 import pytest
 
 from carenets.cli import main
+from carenets.scenario import compile_scenario, load_scenario
 
 from helpers import ACUTE, CHRONIC
 
@@ -141,3 +142,45 @@ class TestSimulateCommand:
         for name in ("trace.csv", "delivery.csv", "outcomes.csv",
                      "summary.txt"):
             assert read(first / name) == read(second / name)
+
+
+def spread_acute(tmp_path, consumes):
+    """The acute fixture with adam's mass spread over two states, and
+    ``Rupture ACL`` consuming ``consumes``."""
+    data = json.loads(read(ACUTE))
+    (adam,) = data["individuals"]
+    del adam["initial_state"]
+    adam["initial_marking"] = {"healthy": 0.5, "ruptured ACL": 0.5}
+    (rupture,) = [event for event in adam["health_events"]
+                  if event["name"] == "Rupture ACL"]
+    rupture["consumes"] = consumes
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("mode", ["replay", "sample"])
+class TestSpreadMarking:
+    """Every health firing moves one unit of mass, so a marking spread
+    over several states fires the events whose weights it covers."""
+
+    def test_covered_weights_fire(self, tmp_path, mode):
+        path = spread_acute(tmp_path, {"healthy": 0.5, "ruptured ACL": 0.5})
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert len(read(out / "trace.csv").splitlines()) == 1 + 70
+        result = compile_scenario(load_scenario(path)).run(mode=mode)
+        assert result.final_health["adam"].total_mass == pytest.approx(1.0)
+
+    def test_uncovered_weight_fails_at_the_event(self, tmp_path, capsys,
+                                                  mode):
+        path = spread_acute(tmp_path, "healthy")
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--mode", mode,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: at t=0.0, health:adam 'Rupture ACL', individual 'adam': "
+            "none of the scheduled health events ['Rupture ACL'] is "
+            "enabled\n")
+        assert not out.exists()
