@@ -46,52 +46,37 @@ def completion_key(start: float, duration: float) -> tuple[float, int]:
     return done, kind.order
 
 
-def _origin_template(model: StructuralModel, buffer: int) -> BoolMatrix:
-    """Template marking every capability that consumes from ``buffer``:
-    all non-transport processes at the buffer's own column, plus every
-    transport process originating there at any executing resource."""
-    coords = []
-    for p in model.processes:
-        if p.is_transport:
-            if p.origin == buffer:
+def _incidence(model: StructuralModel, endpoint: str) -> np.ndarray:
+    """Incidence matrix whose entry (y, psi) is 1 when transition psi
+    touches buffer y at ``endpoint`` (``"origin"`` or ``"destination"``).
+    Row y projects the template marking every capability that touches y
+    there: all non-transport processes at y's own column, plus every
+    transport process with that endpoint at y, at any executing resource.
+    """
+    inc = np.zeros((model.n_buffers, model.dof_count), dtype=int)
+    for y in range(model.n_buffers):
+        coords = []
+        for p in model.processes:
+            if not p.is_transport:
+                coords.append((p.id, y))
+            elif getattr(p, endpoint) == y:
                 coords.extend((p.id, v) for v in range(model.n_resources))
-        else:
-            coords.append((p.id, buffer))
-    return BoolMatrix.from_pairs(
-        (model.n_processes, model.n_resources), coords)
-
-
-def _destination_template(model: StructuralModel, buffer: int) -> BoolMatrix:
-    """Mirror of :func:`_origin_template` for the producing side."""
-    coords = []
-    for p in model.processes:
-        if p.is_transport:
-            if p.destination == buffer:
-                coords.extend((p.id, v) for v in range(model.n_resources))
-        else:
-            coords.append((p.id, buffer))
-    return BoolMatrix.from_pairs(
-        (model.n_processes, model.n_resources), coords)
+        template = BoolMatrix.from_pairs(
+            (model.n_processes, model.n_resources), coords)
+        inc[y, :] = model.projection.apply(template.vec_dense())
+    return inc
 
 
 def build_incidence_out(model: StructuralModel) -> np.ndarray:
     """Consumption matrix: entry (y, psi) is 1 when transition psi takes
     its token from buffer y."""
-    out = np.zeros((model.n_buffers, model.dof_count), dtype=int)
-    for y in range(model.n_buffers):
-        template = _origin_template(model, y)
-        out[y, :] = model.projection.apply(template.vec_dense())
-    return out
+    return _incidence(model, "origin")
 
 
 def build_incidence_in(model: StructuralModel) -> np.ndarray:
     """Production matrix: entry (y, psi) is 1 when transition psi delivers
     its token to buffer y."""
-    inc = np.zeros((model.n_buffers, model.dof_count), dtype=int)
-    for y in range(model.n_buffers):
-        template = _destination_template(model, y)
-        inc[y, :] = model.projection.apply(template.vec_dense())
-    return inc
+    return _incidence(model, "destination")
 
 
 @dataclass(frozen=True)
