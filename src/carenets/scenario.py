@@ -52,9 +52,8 @@ CHECKS = (
 
 
 def _after(check: str) -> tuple[str, ...]:
-    """The checks listed after ``check``. Each stage of loading runs the
-    checks listed after the previous stage's, so a failure that stops
-    loading at a stage keeps these from running."""
+    """The checks :data:`CHECKS` lists after ``check``: those a failure
+    that stops loading once ``check`` has run keeps from running."""
     return CHECKS[CHECKS.index(check) + 1:]
 
 
