@@ -18,9 +18,9 @@ identity Fᵀu_L = S·e can hold at every start.
 
 :func:`cosimulate` is the package's one discrete-event kernel. It pops
 four kinds of typed event (delivery start and completion, scheduled health
-action, health completion) from one time-ordered queue and changes
-markings only through :func:`delivery.step` and the :mod:`health`
-primitives. The matrix algebra builds and verifies the nets; the kernel
+action, health completion) from one queue, ordered by time and then by
+:data:`RANK`, and changes markings only through :func:`delivery.step`
+and the :mod:`health` primitives. The matrix algebra builds and verifies the nets; the kernel
 runs on index tables read off the same matrices once per call: the
 transformation process of each transition (:func:`process_table`) and,
 per individual, the candidate events of each process
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import health
 from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                       TrajectoryPoint, completion_key, step)
+                       TrajectoryPoint, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      CareNetsError, InfeasibleCareActionError,
                      NotEnabledError, SimulationError, ValidationError)
@@ -236,6 +236,14 @@ class HealthCompletion(NamedTuple):
     column: np.ndarray
 
 
+#: The order of the events that share one instant, lowest rank first;
+#: events of one rank run in the order they were queued. Completions come
+#: before starts, so a token or unit of mass that a completion releases
+#: can be used by a start at the same instant.
+RANK = {DeliveryCompletion: 0, HealthCompletion: 1, DeliveryAction: 2,
+        HealthAction: 3}
+
+
 def cosimulate(net: DeliveryNet, initial: Marking,
                individuals: Sequence[Individual],
                selector: np.ndarray,
@@ -245,17 +253,15 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                seed: int | None = 0) -> RunResult:
     """Run both nets against one synchronized clock.
 
-    Each :class:`DeliveryAction` is a start, paired with a
-    :class:`DeliveryCompletion` after the transition's duration. A start
-    of a transformation transition additionally fires the induced health
-    event of the engaged individual, whose :class:`HealthCompletion`
-    follows after the event's own duration. A :class:`HealthAction` fires
-    a stochastic event on its own. Completions apply before starts at the
-    same instant, except that a zero-duration delivery completion directly
-    follows its own start (see :func:`delivery.completion_key`); remaining
-    ties follow schedule order. In sample mode, branch outcomes are drawn
-    from a generator seeded once for the whole run. An event that cannot
-    be applied raises :class:`SimulationError` naming that event.
+    Each :class:`DeliveryAction` is a start. A start of a transformation
+    transition additionally fires the induced health event of the engaged
+    individual. A :class:`HealthAction` fires a stochastic event on its
+    own. Every start, of either net, queues its own completion after its
+    duration. The events of one instant run in the order of :data:`RANK`,
+    and within a rank in the order they were queued. In sample mode,
+    branch outcomes are drawn from a generator seeded once for the whole
+    run. An event that cannot be applied raises :class:`SimulationError`
+    naming that event.
     """
     if mode not in ("replay", "sample"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -277,23 +283,16 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     heap: list[tuple] = []
     seq = 0
 
-    def push(time, order, event):
+    def push(time, event):
         nonlocal seq
-        heapq.heappush(heap, (float(time), order, seq, event))
+        heapq.heappush(heap, (float(time), RANK[type(event)], seq, event))
         seq += 1
 
     for action in (*delivery_actions, *health_actions):
         if action.individual not in by_id:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
-    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
-    start_order, complete_order = START.order, COMPLETE.order
-    for action in delivery_actions:
-        push(action.time, start_order, action)
-        done, order = completion_key(action.time, net.durations[action.psi])
-        push(done, order, DeliveryCompletion(action.psi, action.individual))
-    for action in health_actions:
-        push(action.time, start_order, action)
+        push(action.time, action)
 
     # Index tables read off the matrices once per call: a start looks up
     # its process and candidate events instead of multiplying the
@@ -306,11 +305,13 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     values = {ind.id: np.asarray(ind.net.values, dtype=float)
               for ind in individuals}
     labels = [t.label for t in net.transitions]
+    durations = net.durations.tolist()
     costs = net.costs.tolist()
     pulses = np.eye(net.n_transitions, dtype=int)
     pulses.flags.writeable = False
     zero = np.zeros(net.n_transitions, dtype=int)
     zero.flags.writeable = False
+    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
     start, complete = START.value, COMPLETE.value
     trace = result.trace
     trajectory = result.delivery_trajectory
@@ -330,7 +331,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         hnet = by_id[ind_id].net
         markings[ind_id] = health.start_event(hnet, markings[ind_id], event)
         column = health.resolve_output(hnet, event, outcome=outcome, rng=rng)
-        push(time + hnet.events[event].duration, complete_order,
+        push(time + hnet.events[event].duration,
              HealthCompletion(ind_id, event, column))
         trace.append(TraceRow(time, health_net[ind_id],
                               hnet.events[event].name, event, start))
@@ -352,6 +353,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                           start))
                     trajectory.append(TrajectoryPoint(
                         time, FiringRecord(psi, START, time), marking))
+                    push(time + durations[psi],
+                         DeliveryCompletion(psi, ind_id))
 
                     process = process_of[psi]
                     if process < 0:

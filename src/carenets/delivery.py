@@ -29,22 +29,6 @@ class FiringKind(Enum):
     START = "start"
     COMPLETE = "complete"
 
-    @property
-    def order(self) -> int:
-        # Completions apply before starts sharing the same instant, so a
-        # token released by a completion can immediately enable a start.
-        return 0 if self is FiringKind.COMPLETE else 1
-
-
-def completion_key(start: float, duration: float) -> tuple[float, int]:
-    """Time and tie-break order of the completion of a firing started at
-    ``start``. A zero-duration completion takes the order of a start, so
-    that among events sharing its instant it slots directly after its own
-    start instead of jumping ahead of it with the other completions."""
-    done = float(start) + float(duration)
-    kind = FiringKind.START if done == start else FiringKind.COMPLETE
-    return done, kind.order
-
 
 def _incidence(model: StructuralModel, endpoint: str) -> np.ndarray:
     """Incidence matrix whose entry (y, psi) is 1 when transition psi

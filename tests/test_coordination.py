@@ -25,7 +25,7 @@ from carenets.scenario import compile_scenario, load_scenario_data
 from carenets.structure import (Process, Resource, ResourceClass,
                                 StructuralModel)
 
-from helpers import ACUTE, run_starts
+from helpers import ACUTE, CHRONIC, run_starts
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
@@ -510,6 +510,53 @@ class TestZeroDuration:
         assert main(["simulate", str(_write(tmp_path, data)),
                      "--out", str(out)]) == 0
         assert (out / "summary.txt").exists()
+
+
+class TestRank:
+    """Events sharing an instant run in the order of coordination.RANK:
+    delivery completion, health completion, delivery start, scheduled
+    health action; within a rank, in the order they were queued."""
+
+    def test_zero_durations_complete_after_both_starts(self):
+        data = json.loads(ACUTE.read_text(encoding="utf-8"))
+        assumed = data["assumed_values"]
+        assumed["durations"] = dict.fromkeys(assumed["durations"], 0.0)
+        for events in assumed["health_event_durations"].values():
+            events.update(dict.fromkeys(events, 0.0))
+        result = compile_scenario(load_scenario_data(data)).run()
+        treat = "Treat acute symptoms @ emergency room"
+        relieve = "Relieve acute symptoms"
+        assert [(row.net, row.label, row.kind) for row in result.trace
+                if row.time == 6.0] == [
+            ("delivery", treat, "start"),
+            ("health:adam", relieve, "start"),
+            ("delivery", treat, "complete"),
+            ("health:adam", relieve, "complete")]
+
+    def test_delivery_start_before_health_action(self):
+        # schedule[1] now shares t=120 with schedule[2] but runs after it
+        data = json.loads(CHRONIC.read_text(encoding="utf-8"))
+        data["schedule"][1]["time"] = 120.0
+        result = compile_scenario(load_scenario_data(data)).run()
+        starts = [row.label for row in result.trace
+                  if row.time == 120.0 and row.kind == "start"]
+        assert starts == ["Enter clinic @ patient",
+                          "Develop neurologic symptoms"]
+
+    def test_delivery_completion_before_health_completion(self):
+        # the health completion is queued at t=0, the delivery one at
+        # t=0.5; both fall at t=1
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        hnet = individual.net
+        onset = dataclasses.replace(hnet.events[0], duration=1.0)
+        hnet = dataclasses.replace(hnet, events=(onset, *hnet.events[1:]))
+        individual = dataclasses.replace(individual, net=hnet)
+        result = cosimulate(net, initial, [individual], selector,
+                            [DeliveryAction(0.5, dofs["check"], "p1")],
+                            [HealthAction(0.0, "p1", (0,))])
+        assert [(row.net, row.kind) for row in result.trace
+                if row.time == 1.0] == [("delivery", "complete"),
+                                        ("health:p1", "complete")]
 
 
 def _write(tmp_path, data):
