@@ -67,6 +67,14 @@ class HealthNet:
 
     def __post_init__(self):
         ns, ne = len(self.state_names), len(self.events)
+        # name lookups pick the first match, so a repeated name would
+        # shadow a state or event
+        for what, names in (("state", self.state_names),
+                            ("event", [ev.name for ev in self.events])):
+            if len(set(names)) != len(names):
+                name = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValidationError(f"duplicate health {what} {name!r}",
+                                      check="health-states")
         for name, mat in (("m_minus", self.m_minus), ("m_plus", self.m_plus)):
             if mat.shape != (ns, ne):
                 raise ValidationError(f"{name} has shape {mat.shape}, "
@@ -97,7 +105,8 @@ class HealthNet:
                     f"index {ev.index}")
             if ev.duration < 0:
                 raise ValidationError(
-                    f"event {ev.name!r} has negative duration")
+                    f"event {ev.name!r} has negative duration",
+                    check="durations")
             if ev.is_stochastic and ev.realized_by:
                 raise ValidationError(
                     f"stochastic event {ev.name!r} must not name realizing "

@@ -520,7 +520,17 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
             col.skip(BUILD_CHECKS[BUILD_CHECKS.index(exc.check) + 1:])
         return None
 
-    if data.get("chronic_abstraction", False):
+    abstraction = data.get("chronic_abstraction", False)
+    if "clinic_buffers" in data and not abstraction:
+        col.add("aggregation-partition",
+                "clinic_buffers needs chronic_abstraction: true")
+        return None
+    if "aggregation" in data and abstraction:
+        col.add("aggregation-partition",
+                "aggregation cannot be combined with chronic_abstraction: "
+                "true")
+        return None
+    if abstraction:
         clinic = None
         if "clinic_buffers" in data:
             clinic = []
@@ -534,7 +544,6 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
             model = apply_chronic_abstraction(model, clinic)
         except ValidationError as exc:
             col.grab(exc)
-            col.skip(("aggregation-partition",))
             return None
     elif "aggregation" in data:
         pairs = []
@@ -556,7 +565,6 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                                           aggregation)
         except ValidationError as exc:
             col.grab(exc)
-            col.skip(("aggregation-partition",))
             return None
     return model
 
@@ -587,12 +595,15 @@ def _build_health_net(ind: dict, assumed: dict,
                       col: _Collector) -> HealthNet | None:
     where = f"individual {ind['id']!r}"
     states = ind["health_states"]
-    if len(set(states)) != len(states):
+    # HealthNet rejects repeated names too; these messages say whose
+    ok = len(set(states)) == len(states)
+    if not ok:
         col.add("health-states", f"{where}: duplicate health states")
     index = {s: i for i, s in enumerate(states)}
     specs = ind.get("health_events", [])
     if len({spec["name"] for spec in specs}) != len(specs):
         col.add("health-states", f"{where}: duplicate health events")
+        ok = False
 
     values = np.zeros(len(states))
     declared = assumed.get("health_state_values", {}).get(ind["id"], {})
@@ -612,7 +623,6 @@ def _build_health_net(ind: dict, assumed: dict,
     m_minus = np.zeros((len(states), len(specs)))
     m_plus = np.zeros((len(states), len(specs)))
     events = []
-    ok = True
     for j, spec in enumerate(specs):
         for state, weight in spec["consumes"].items():
             if state not in index:
@@ -703,14 +713,19 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     selector = coordination.build_transform_selector(model)
 
     individuals = []
-    # id -> (health net, event name -> event index)
-    nets: dict[str, tuple[HealthNet, dict[str, int]]] = {}
+    # id -> (health net, event name -> event index), or None for an
+    # individual whose health net failed to build
+    nets: dict[str, tuple[HealthNet, dict[str, int]] | None] = {}
     for ind in data.get("individuals", []):
         if ind["id"] in nets:
             col.add("health-states", f"duplicate individual id {ind['id']!r}")
             continue
         hnet = _build_health_net(ind, assumed, col)
         if hnet is None:
+            # the checks that need the net do not run for this individual
+            nets[ind["id"]] = None
+            col.skip(("initial-mass", "feasibility-tags",
+                      "schedule-references"))
             continue
         nets[ind["id"]] = hnet, {ev.name: ev.index for ev in hnet.events}
         masses = (ind["initial_marking"] if "initial_marking" in ind
@@ -719,7 +734,8 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
             marking = HealthMarking.from_distribution(hnet, masses)
             health.check_unit_mass(marking)
         except ValidationError as exc:
-            col.grab(exc)
+            # a mass on an unknown state fails the mass check too
+            col.add("initial-mass", str(exc))
             marking = HealthMarking.point(hnet, 0)
         try:
             feas = coordination.build_feasibility(hnet, transform_names)
@@ -742,6 +758,8 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
             col.add("schedule-references",
                     f"schedule[{i}]: unknown individual "
                     f"{entry['individual']!r}")
+            continue
+        if nets[entry["individual"]] is None:
             continue
         hnet, event_index = nets[entry["individual"]]
         outcome = None

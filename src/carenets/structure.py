@@ -220,9 +220,9 @@ class Aggregation:
 
 #: The checks :meth:`StructuralModel.build` runs, in the order it runs
 #: them. It raises at the first failure, so the checks after it never run.
-BUILD_CHECKS = ("structure", "knowledge-block-mask", "transport-endpoints",
-                "resource-class-consistency", "constraints",
-                "aggregation-partition")
+BUILD_CHECKS = ("resources", "processes", "knowledge-block-mask",
+                "transport-endpoints", "resource-class-consistency",
+                "constraints", "aggregation-partition")
 
 
 @dataclass(frozen=True)
@@ -250,8 +250,8 @@ class StructuralModel:
         """Validate all inputs, derive the concept matrix, and freeze."""
         resources = tuple(resources)
         processes = tuple(processes)
-        _check_entities(resources, "resource")
-        _check_entities(processes, "process")
+        _check_entities(resources, "resource", "resources")
+        _check_entities(processes, "process", "processes")
 
         shape = (len(processes), len(resources))
         if not isinstance(knowledge, BoolMatrix):
@@ -317,22 +317,23 @@ class StructuralModel:
                 for i, (w, v) in enumerate(self.dof_list)]
 
 
-def _check_entities(entities, kind: str) -> None:
+def _check_entities(entities, kind: str, check: str) -> None:
     names = set()
     last_rank = 0
     for i, ent in enumerate(entities):
         if ent.id != i:
             raise ValidationError(
                 f"{kind} ids must be dense and in list order; "
-                f"{ent.name!r} has id {ent.id} at position {i}")
+                f"{ent.name!r} has id {ent.id} at position {i}", check=check)
         if ent.name in names:
-            raise ValidationError(f"duplicate {kind} name {ent.name!r}")
+            raise ValidationError(f"duplicate {kind} name {ent.name!r}",
+                                  check=check)
         names.add(ent.name)
         if ent.cls.rank < last_rank:
             raise ValidationError(
                 f"{kind} list must group classes in precedence order "
                 f"(transformation, decision, measurement, transportation); "
-                f"{ent.name!r} is out of order")
+                f"{ent.name!r} is out of order", check=check)
         last_rank = ent.cls.rank
 
 
@@ -422,19 +423,23 @@ def apply_chronic_abstraction(model: StructuralModel,
         clinic = {int(b) for b in clinic_buffers}
         for b in clinic:
             if not (0 <= b < len(buffers)):
-                raise ValidationError(f"clinic buffer id {b} is not a buffer")
+                raise ValidationError(f"clinic buffer id {b} is not a buffer",
+                                      check="aggregation-partition")
     outside = [r.id for r in buffers if r.id not in clinic]
     if not outside:
         raise ValidationError(
-            f"model has no {OUTSIDE_CLINIC!r} buffer outside the clinic")
+            f"model has no {OUTSIDE_CLINIC!r} buffer outside the clinic",
+            check="aggregation-partition")
     if not clinic:
-        raise ValidationError("clinic buffer set is empty")
+        raise ValidationError("clinic buffer set is empty",
+                              check="aggregation-partition")
 
     crossing = [p for p in model.processes if p.is_transport
                 and ((p.origin in clinic) != (p.destination in clinic))]
     if not crossing:
         raise ValidationError(
-            "no transport capability enters or exits the clinic")
+            "no transport capability enters or exits the clinic",
+            check="aggregation-partition")
 
     eliminated = set()
     for w, v in model.concept.coords:

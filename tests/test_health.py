@@ -335,6 +335,25 @@ class TestValidation:
                       np.array([1.0, 0.0]))
         assert "'operate' at position 0 carries index 1" in str(err.value)
 
+    @pytest.mark.parametrize("states, names, repeated", [
+        (("a", "a"), ("e", "f"), "state 'a'"),
+        (("a", "b"), ("e", "e"), "event 'e'")])
+    def test_duplicate_names_rejected(self, states, names, repeated):
+        events = tuple(HealthEvent(i, name, STOCH)
+                       for i, name in enumerate(names))
+        with pytest.raises(ValidationError) as err:
+            HealthNet(states, events, np.eye(2), np.eye(2)[::-1],
+                      np.array([1.0, 0.0]))
+        assert err.value.check == "health-states"
+        assert str(err.value) == f"duplicate health {repeated}"
+
+    def test_negative_duration_rejected_under_durations(self):
+        events = (HealthEvent(0, "e", STOCH, duration=-1.0),)
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), events, np.array([[1.0], [0.0]]),
+                      np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
+        assert err.value.check == "durations"
+
     def test_unit_mass_check(self):
         net = chain_net()
         check_unit_mass(HealthMarking.point(net, "a"))

@@ -4,10 +4,12 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carenets import scenario
 from carenets.cli import main
 from carenets.errors import ScenarioError
 from carenets.scenario import (CHECKS, compile_scenario, load_scenario,
@@ -139,19 +141,43 @@ class TestDefectiveDocuments:
         assert main(["validate", str(path)]) == 1
         assert "FAIL  schema" in capsys.readouterr().out
 
-    def test_failure_outside_listed_checks_fails_validate(self, tmp_path):
-        data = acute_data()
-        data["processes"].append(copy.deepcopy(data["processes"][0]))
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ScenarioError) as err:
-            load_scenario(path)
-        report = validate_file(path)
+    def test_failure_outside_listed_checks_fails_validate(self, tmp_path,
+                                                          monkeypatch):
+        # No document fails outside CHECKS (see
+        # test_corpus_records_only_listed_checks), so a stand-in loader
+        # raises such a failure.
+        def load(path):
+            raise ScenarioError([("unlisted", "a failure outside CHECKS")])
+
+        monkeypatch.setattr(scenario, "load_scenario", load)
+        report = validate_file(tmp_path / "any.json")
         assert not report.ok
         failed = {r.check: r.messages for r in report.results
                   if r.status == "fail"}
-        assert failed == {check: (message,)
-                          for check, message in err.value.failures}
+        assert failed == {"unlisted": ("a failure outside CHECKS",)}
+        assert report.results[-1].check == "unlisted"
+        assert report.lines()[-2:] == ["FAIL  unlisted",
+                                       "      a failure outside CHECKS"]
+
+    @pytest.mark.parametrize("section, noun, skipped", [
+        ("resources", "resource", "processes"),
+        ("processes", "process", "knowledge-block-mask")])
+    def test_duplicate_name_fails_under_its_section(self, section, noun,
+                                                    skipped, tmp_path,
+                                                    capsys):
+        data = acute_data()
+        data[section].append(copy.deepcopy(data[section][0]))
+        name = data[section][0]["name"]
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert err.value.failures == [
+            (section, f"duplicate {noun} name {name!r}")]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {section}" in out and f"SKIP  {skipped}" in out
+        assert "structure" not in out
 
     def test_induced_event_with_two_realizers_rejected(self, tmp_path,
                                                        capsys):
@@ -369,9 +395,17 @@ def outcome_of(data):
 # document, must stay as they were. Recorded before the schema was
 # compiled into checkers; re-recorded when a duplicate health state
 # stopped dropping its individual, which changed one entry (chronic
-# seed 28) by removing its 27 follow-on "unknown individual" failures.
-PINNED_DIGEST = ("a6f25948aba0474fd485106ef2a29643"
-                 "4894a94ee826d188deb3430bc6af7288")
+# seed 28) by removing its 27 follow-on "unknown individual" failures;
+# re-recorded when every failure moved under a listed check and a failed
+# health net stopped failing the schedule entries naming its individual,
+# which changed 16 entries: 13 moved their one "structure" failure (11
+# duplicate resource names to "resources", one duplicate process name to
+# "processes", one chronic abstraction failure to
+# "aggregation-partition"), and 3 lost their follow-on "unknown
+# individual" failures (acute seed 92: 31; chronic seeds 251 and 260: 27
+# each).
+PINNED_DIGEST = ("0eca6a23ee672b7f1438b7dcb065553b"
+                 "d6eba148180c27df2036106ffc845b2c")
 
 
 def test_pinned_failure_lists_unchanged():
@@ -383,6 +417,12 @@ def test_pinned_failure_lists_unchanged():
                if check == "schedule-references")
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert digest == PINNED_DIGEST
+
+
+def test_corpus_records_only_listed_checks():
+    recorded = {check for data in pinned_corpus()
+                for check, _ in failures_of(data)}
+    assert recorded <= set(CHECKS)
 
 
 def _set(path, value):
@@ -566,6 +606,54 @@ class TestValidateFile:
         out = capsys.readouterr().out
         assert "SKIP  durations" in out and "PASS  durations" not in out
 
+    @pytest.mark.parametrize("table, key, value, failure", [
+        ("health_state_values", "healthy", 2.0,
+         ("health-values", "state values must lie in [0, 1]")),
+        ("health_event_durations", "Reconstruct ACL", -1.0,
+         ("durations", "event 'Reconstruct ACL' has negative duration"))])
+    def test_failed_health_net_fails_once(self, table, key, value, failure,
+                                          tmp_path):
+        # the 31 schedule entries naming adam are skipped, not failed
+        data = acute_data()
+        data["assumed_values"][table]["adam"][key] = value
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(data)
+        assert err.value.failures == [failure]
+        statuses = self.statuses(data, tmp_path)
+        assert statuses["initial-mass"] == "skipped"
+        assert statuses["schedule-references"] == "skipped"
+
+    def test_duplicate_id_after_failed_health_net(self):
+        data = acute_data()
+        data["assumed_values"]["health_state_values"]["adam"]["healthy"] = 2.0
+        data["individuals"].append(copy.deepcopy(data["individuals"][0]))
+        assert failures_of(data) == [
+            ("health-values", "state values must lie in [0, 1]"),
+            ("health-states", "duplicate individual id 'adam'")]
+
+    def test_initial_marking_on_unknown_state_fails_mass_check(self):
+        data = acute_data()
+        individual = data["individuals"][0]
+        individual["initial_marking"] = {"nowhere": 1.0}
+        assert failures_of(data) == [
+            ("initial-mass", "unknown health state 'nowhere'")]
+
+    @pytest.mark.parametrize("clinic, message", [
+        ([], "clinic buffer set is empty"),
+        (["neurosurgery", "oncology", "care team", "imaging", "pathology",
+          "outside clinic"],
+         "model has no 'outside clinic' buffer outside the clinic"),
+        (["neurosurgery", "oncology", "imaging", "pathology"],
+         "no transport capability enters or exits the clinic")])
+    def test_chronic_abstraction_failure_is_a_partition_failure(
+            self, clinic, message, tmp_path):
+        data = chronic_data()
+        data["clinic_buffers"] = clinic
+        assert failures_of(data) == [("aggregation-partition", message)]
+        statuses = self.statuses(data, tmp_path)
+        assert statuses["aggregation-partition"] == "fail"
+        assert statuses["durations"] == "skipped"
+
     def test_compile_failure_skips_projection_identity(self, tmp_path):
         data = acute_data()
         data["assumed_values"]["durations"]["bogus @ nothing"] = 1.0
@@ -607,3 +695,59 @@ class TestCompile:
         enter = next(i for i, t in enumerate(compiled.net.transitions)
                      if t.label == "Enter clinic @ patient")
         assert compiled.net.durations[enter] == 0.125
+
+
+CLINIC = ["neurosurgery", "oncology", "care team", "imaging", "pathology"]
+
+
+class TestAggregation:
+    """The two ways to aggregate buffers: an explicit ``aggregation``, or
+    ``chronic_abstraction`` with optional ``clinic_buffers``."""
+
+    @staticmethod
+    def run(data):
+        compiled = compile_scenario(load_scenario_data(data))
+        return compiled, compiled.run()
+
+    def test_explicit_aggregation(self):
+        data = chronic_data()
+        del data["chronic_abstraction"]
+        data["aggregation"] = [
+            {"name": "outside", "members": ["outside clinic"]},
+            {"name": "clinic", "members": CLINIC}]
+        data["initial_tokens"] = {"outside": 1}
+        compiled, result = self.run(data)
+        assert compiled.net.place_names == ("outside", "clinic")
+        assert len(result.trace) == 58
+        assert result.cost_series[-1][1] == 45_250.0
+
+    def test_clinic_buffers_naming_the_default_clinic(self, chronic):
+        data = chronic_data()
+        data["clinic_buffers"] = CLINIC
+        compiled, result = self.run(data)
+        assert compiled.net.place_names == chronic.net.place_names
+        assert compiled.net.transitions == chronic.net.transitions
+        for name in ("m_minus", "m_plus", "durations", "costs",
+                     "capacities"):
+            assert np.array_equal(getattr(compiled.net, name),
+                                  getattr(chronic.net, name))
+        expected = chronic.run()
+        assert result.trace == expected.trace
+        assert result.cost_series == expected.cost_series
+
+    def test_clinic_buffers_need_the_abstraction(self):
+        data = chronic_data()
+        data["chronic_abstraction"] = False
+        data["clinic_buffers"] = CLINIC
+        assert failures_of(data) == [
+            ("aggregation-partition",
+             "clinic_buffers needs chronic_abstraction: true")]
+
+    def test_aggregation_excludes_the_abstraction(self):
+        data = chronic_data()
+        data["aggregation"] = [{"name": "all", "members": [
+            *CLINIC, "outside clinic"]}]
+        assert failures_of(data) == [
+            ("aggregation-partition",
+             "aggregation cannot be combined with chronic_abstraction: "
+             "true")]

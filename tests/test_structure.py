@@ -138,6 +138,17 @@ class TestModelValidation:
             StructuralModel.build(resources, processes, [(0, 0)])
         assert err.value.check == "resource-class-consistency"
 
+    @pytest.mark.parametrize("desk, plan, check, message", [
+        ("ward", "plan", "resources", "duplicate resource name 'ward'"),
+        ("desk", "treat", "processes", "duplicate process name 'treat'")])
+    def test_duplicate_name_rejected_under_its_check(self, desk, plan,
+                                                     check, message):
+        resources = [Resource(0, "ward", F), Resource(1, desk, D)]
+        processes = [Process(0, "treat", F), Process(1, plan, D)]
+        with pytest.raises(ValidationError) as err:
+            StructuralModel.build(resources, processes, [])
+        assert (err.value.check, str(err.value)) == (check, message)
+
     def test_entity_order_must_group_classes(self):
         resources = [Resource(0, "desk", D), Resource(1, "ward", F)]
         with pytest.raises(ValidationError):
@@ -240,8 +251,9 @@ class TestChronicAbstraction:
                      Resource(1, "patient", N)]
         processes = [Process(0, "treat", F)]
         model = StructuralModel.build(resources, processes, [(0, 0)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             apply_chronic_abstraction(model)
+        assert err.value.check == "aggregation-partition"
 
     def test_never_increases_dofs_or_touches_non_transport(self):
         rng = np.random.default_rng(23)
