@@ -20,11 +20,11 @@ identity Fᵀu_L = S·e can hold at every start.
 four kinds of typed event (delivery start and completion, scheduled health
 action, health completion) from one queue, ordered by time and then by
 :data:`RANK`, and changes markings only through :func:`delivery.step`
-and the :mod:`health` primitives. The matrix algebra builds and verifies the nets; the kernel
-runs on index tables read off the same matrices once per call: the
-transformation process of each transition (:func:`process_table`) and,
-per individual, the candidate events of each process
-(:func:`candidate_table`), looked up by :func:`induced_event`.
+and the :mod:`health` primitives. The matrix algebra builds and verifies
+the nets; the kernel runs on index tables read off the same matrices
+once per call: the transformation process of each transition
+(:func:`process_table`) and, per individual, the candidate events of each
+process (:func:`candidate_table`), looked up by :func:`induced_event`.
 :func:`induce_health_firing` and :func:`system_firing` keep the matrix
 form as test oracles.
 """
