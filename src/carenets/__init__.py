@@ -10,8 +10,8 @@ traces, cumulative operating cost, and health-outcome series.
 from .coordination import (DeliveryAction, HealthAction, Individual,
                            RunResult, cosimulate, induce_health_firing,
                            system_firing)
-from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                       build_incidence_in, build_incidence_out, step)
+from .delivery import (DeliveryNet, Marking, build_incidence_in,
+                       build_incidence_out, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      CareNetsError, InfeasibleCareActionError,
                      NotEnabledError, ScenarioError, SimulationError,

@@ -38,8 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import health
-from .delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                       TrajectoryPoint, step)
+from .delivery import DeliveryNet, Marking, TrajectoryPoint, step
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      CareNetsError, InfeasibleCareActionError,
                      NotEnabledError, SimulationError, ValidationError)
@@ -210,15 +209,25 @@ class CouplingCheck(NamedTuple):
 class RunResult:
     trace: list[TraceRow] = field(default_factory=list)
     delivery_trajectory: list[TrajectoryPoint] = field(default_factory=list)
-    cost_series: list[tuple[float, float]] = field(default_factory=list)
     outcome_series: list[tuple[float, str, float]] = field(
         default_factory=list)
     coupling_checks: list[CouplingCheck] = field(default_factory=list)
     mass_checks: list[tuple[float, str, float]] = field(default_factory=list)
     completion_counts: np.ndarray | None = None
-    final_marking: Marking | None = None
     final_health: dict[str, HealthMarking] = field(default_factory=dict)
     skipped_actions: int = 0
+
+    @property
+    def cost_series(self) -> list[tuple[float, float]]:
+        """(time, cumulative cost) at the start and after each delivery
+        completion."""
+        return [(point.time, point.cost) for point in self.delivery_trajectory
+                if point.kind != "start"]
+
+    @property
+    def final_marking(self) -> Marking | None:
+        trajectory = self.delivery_trajectory
+        return trajectory[-1].marking if trajectory else None
 
 
 class DeliveryCompletion(NamedTuple):
@@ -273,8 +282,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     markings = {ind.id: ind.initial for ind in individuals}
 
     result = RunResult()
-    result.delivery_trajectory.append(TrajectoryPoint(0.0, None, initial))
-    result.cost_series.append((0.0, 0.0))
+    result.delivery_trajectory.append(
+        TrajectoryPoint(0.0, None, "initial", initial, 0.0))
     for ind in individuals:
         result.outcome_series.append(
             (0.0, ind.id,
@@ -311,8 +320,6 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     pulses.flags.writeable = False
     zero = np.zeros(net.n_transitions, dtype=int)
     zero.flags.writeable = False
-    START, COMPLETE = FiringKind.START, FiringKind.COMPLETE
-    start, complete = START.value, COMPLETE.value
     trace = result.trace
     trajectory = result.delivery_trajectory
 
@@ -334,7 +341,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         push(time + hnet.events[event].duration,
              HealthCompletion(ind_id, event, column))
         trace.append(TraceRow(time, health_net[ind_id],
-                              hnet.events[event].name, event, start))
+                              hnet.events[event].name, event, "start"))
         record_outcome(time, ind_id)
 
     while heap:
@@ -350,9 +357,9 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                             f"concurrent capacity of "
                             f"{int(net.capacities[psi])}")
                     trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                          start))
+                                          "start"))
                     trajectory.append(TrajectoryPoint(
-                        time, FiringRecord(psi, START, time), marking))
+                        time, psi, "start", marking, total_cost))
                     push(time + durations[psi],
                          DeliveryCompletion(psi, ind_id))
 
@@ -375,11 +382,10 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     marking = step(net, marking, zero, pulses[psi])
                     completions[psi] += 1
                     total_cost += costs[psi]
-                    result.cost_series.append((time, total_cost))
                     trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                          complete))
+                                          "complete"))
                     trajectory.append(TrajectoryPoint(
-                        time, FiringRecord(psi, COMPLETE, time), marking))
+                        time, psi, "complete", marking, total_cost))
 
                 case HealthAction(events=events):
                     hnet = by_id[ind_id].net
@@ -412,7 +418,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     markings[ind_id] = health.apply_completion(
                         hnet, markings[ind_id], ev, column)
                     trace.append(TraceRow(time, health_net[ind_id],
-                                          hnet.events[ev].name, ev, complete))
+                                          hnet.events[ev].name, ev,
+                                          "complete"))
                     record_outcome(time, ind_id)
 
         except CareNetsError as exc:
@@ -430,6 +437,5 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 individual=ind_id) from exc
 
     result.completion_counts = completions
-    result.final_marking = marking
     result.final_health = dict(markings)
     return result

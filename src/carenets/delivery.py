@@ -16,18 +16,12 @@ transitions is invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NotEnabledError, ValidationError
 from .structure import BoolMatrix, StructuralModel
-
-
-class FiringKind(Enum):
-    START = "start"
-    COMPLETE = "complete"
 
 
 def _incidence(model: StructuralModel, endpoint: str) -> np.ndarray:
@@ -160,12 +154,6 @@ class Marking:
         return int(self.place_tokens.sum() + self.busy_tokens.sum())
 
 
-class FiringRecord(NamedTuple):
-    psi: int
-    kind: FiringKind
-    time: float
-
-
 def step(net: DeliveryNet, marking: Marking,
          u_minus: np.ndarray, u_plus: np.ndarray) -> Marking:
     """Advance the marking by one firing step.
@@ -208,6 +196,13 @@ def step(net: DeliveryNet, marking: Marking,
 
 
 class TrajectoryPoint(NamedTuple):
+    """One row of the delivery trajectory: the marking after a firing of
+    transition ``psi`` of ``kind`` ``"start"`` or ``"complete"``, and the
+    cumulative cost of the completions so far. The first point holds the
+    initial marking, with ``psi`` None and ``kind`` ``"initial"``."""
+
     time: float
-    record: FiringRecord | None
+    psi: int | None
+    kind: str
     marking: Marking
+    cost: float

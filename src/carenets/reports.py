@@ -61,23 +61,15 @@ def write_delivery_csv(path: Path, result: RunResult,
     joined: dict[bytes, str] = {}
     places = "".join(f"{_quote(f'place:{name}')}," for name in place_names)
     rows = [f"time,event_index,psi,kind,{places}cumulative_cost\r\n"]
-    running = "0"
-    costs = iter(result.cost_series[1:])
-    for index, (time, record, marking) in enumerate(
+    for index, (time, psi, kind, marking, cost) in enumerate(
             result.delivery_trajectory):
-        if record is None:
-            psi, kind = "", "initial"
-        else:
-            psi, kind = record.psi, record.kind.value
-            if kind == "complete":
-                running = times[next(costs)[1]]
         key = marking.place_tokens.tobytes()
         tokens = joined.get(key)
         if tokens is None:
             tokens = joined[key] = "".join(
                 f"{int(c)}," for c in marking.place_tokens)
-        rows.append(f"{times[time]},{index},{psi},{kind},{tokens}"
-                    f"{running}\r\n")
+        rows.append(f"{times[time]},{index},{'' if psi is None else psi},"
+                    f"{kind},{tokens}{times[cost]}\r\n")
     path.write_text("".join(rows), encoding="utf-8", newline="")
 
 
@@ -101,7 +93,7 @@ def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
         f"events applied: {len(result.trace)}",
         f"delivery completions: {int(result.completion_counts.sum())}",
         f"skipped optional health actions: {result.skipped_actions}",
-        f"final cost: {_fmt(result.cost_series[-1][1])}",
+        f"final cost: {_fmt(result.delivery_trajectory[-1].cost)}",
     ]
     for i, name in enumerate(compiled.net.place_names):
         lines.append(f"final tokens at {name}: "
@@ -162,7 +154,8 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
             write_run(claim(out_dir / f"run_{k:03d}"), compiled, result,
                       mode, seed + k)
             outcomes = final_outcome_by_individual(result)
-            rows.append((k, seed + k, result.cost_series[-1][1], outcomes))
+            rows.append((k, seed + k, result.delivery_trajectory[-1].cost,
+                         outcomes))
 
         out_dir.mkdir(parents=True, exist_ok=True)
         runs_path = out_dir / "runs.csv"

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from carenets.coordination import (DeliveryAction, Individual, RunResult,
                                    build_feasibility,
                                    build_transform_selector, cosimulate)
-from carenets.delivery import (DeliveryNet, FiringKind, FiringRecord, Marking,
-                               step)
+from carenets.delivery import DeliveryNet, Marking, step
 from carenets.health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
 from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
                                 ResourceClass, StructuralModel)
@@ -132,16 +131,25 @@ def random_delivery_net(rng: np.random.Generator,
     return DeliveryNet.from_model(model, durations, costs)
 
 
+class Firing(NamedTuple):
+    """A delivery firing of a test walk: ``kind`` is "start" or
+    "complete"."""
+
+    psi: int
+    kind: str
+    time: float
+
+
 def random_feasible_schedule(rng: np.random.Generator, net: DeliveryNet,
                              initial: Marking, length: int = 20,
-                             ) -> list[FiringRecord]:
+                             ) -> list[Firing]:
     """Random start/complete record list that is feasible from ``initial``.
 
     Generated as a timed random walk: at each step either start an
     enabled transition or let the earliest running one complete; leftover
     running transitions complete at the end.
     """
-    records: list[FiringRecord] = []
+    records: list[Firing] = []
     place = initial.place_tokens.copy()
     running: list[tuple[float, int]] = []
     t = 0.0
@@ -151,25 +159,25 @@ def random_feasible_schedule(rng: np.random.Generator, net: DeliveryNet,
         start_ok = bool(enabled)
         if start_ok and (not running or rng.random() < 0.6):
             psi = int(rng.choice(enabled))
-            records.append(FiringRecord(psi, FiringKind.START, t))
+            records.append(Firing(psi, "start", t))
             place = place - net.m_minus[:, psi]
             running.append((t + float(net.durations[psi]) + 0.25, psi))
             running.sort()
         elif running:
             done, psi = running.pop(0)
             t = max(t, done)
-            records.append(FiringRecord(psi, FiringKind.COMPLETE, t))
+            records.append(Firing(psi, "complete", t))
             place = place + net.m_plus[:, psi]
         else:
             break
         t += 0.25
     for done, psi in running:
         t = max(t, done) + 0.25
-        records.append(FiringRecord(psi, FiringKind.COMPLETE, t))
+        records.append(Firing(psi, "complete", t))
     return records
 
 
-def step_replay(net: DeliveryNet, records: list[FiringRecord],
+def step_replay(net: DeliveryNet, records: list[Firing],
                 initial: Marking) -> list[Marking]:
     """Markings after applying each start/complete record with ``step``,
     preceded by ``initial``."""
@@ -177,7 +185,7 @@ def step_replay(net: DeliveryNet, records: list[FiringRecord],
     for record in records:
         pulse = np.zeros(net.n_transitions, dtype=int)
         pulse[record.psi] = 1
-        if record.kind is FiringKind.START:
+        if record.kind == "start":
             markings.append(step(net, markings[-1], pulse, 0 * pulse))
         else:
             markings.append(step(net, markings[-1], 0 * pulse, pulse))
@@ -319,25 +327,16 @@ def oracle_write_trace_csv(path: Path, result: RunResult) -> None:
 
 def oracle_write_delivery_csv(path: Path, result: RunResult,
                               place_names: Sequence[str]) -> None:
-    running = 0.0
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["time", "event_index", "psi", "kind"]
                         + [f"place:{name}" for name in place_names]
                         + ["cumulative_cost"])
-        pending = list(result.cost_series[1:])
-        next_cost = 0
         for index, point in enumerate(result.delivery_trajectory):
-            if point.record is not None and \
-                    point.record.kind.value == "complete":
-                running = pending[next_cost][1]
-                next_cost += 1
-            psi = "" if point.record is None else point.record.psi
-            kind = "initial" if point.record is None else \
-                point.record.kind.value
-            writer.writerow([_fmt(point.time), index, psi, kind]
+            psi = "" if point.psi is None else point.psi
+            writer.writerow([_fmt(point.time), index, psi, point.kind]
                             + [int(c) for c in point.marking.place_tokens]
-                            + [_fmt(running)])
+                            + [_fmt(point.cost)])
 
 
 def oracle_write_outcomes_csv(path: Path, result: RunResult) -> None:

@@ -596,8 +596,20 @@ def _run(compiled, net, delivery, health, mode):
 
 
 def _assert_invariants(compiled, net, result):
-    totals = {point.marking.total for point in result.delivery_trajectory}
-    assert totals == {compiled.initial.total}
+    points = result.delivery_trajectory
+    assert {point.marking.total for point in points} == \
+        {compiled.initial.total}
+    # one point per delivery firing after the initial one, each carrying
+    # the running cost of the completions so far
+    assert points[0][1:3] == (None, "initial")
+    assert [(p.time, p.psi, p.kind) for p in points[1:]] == [
+        (row.time, row.index, row.kind) for row in result.trace
+        if row.net == "delivery"]
+    running = 0.0
+    for point in points:
+        if point.kind == "complete":
+            running += float(net.costs[point.psi])
+        assert point.cost == running
     assert all(abs(total - 1.0) <= 1e-9
                for _, _, total in result.mass_checks)
     assert all(check.residual == 0 for check in result.coupling_checks)

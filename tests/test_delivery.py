@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carenets.delivery import (DeliveryNet, FiringKind, Marking,
-                               build_incidence_in, build_incidence_out, step)
+from carenets.delivery import (DeliveryNet, Marking, build_incidence_in,
+                               build_incidence_out, step)
 from carenets.errors import NotEnabledError, SimulationError
 from carenets.structure import (Aggregation, Process, Resource,
                                 ResourceClass, StructuralModel)
@@ -225,7 +225,7 @@ class TestSimulate:
             initial = Marking.initial(net, tokens)
             records = random_feasible_schedule(rng, net, initial, length=12)
             markings = step_replay(net, records, initial)
-            starts = sum(1 for r in records if r.kind is FiringKind.START)
+            starts = sum(1 for r in records if r.kind == "start")
             completes = len(records) - starts
             assert starts == completes
             assert markings[-1].busy_tokens.sum() == 0
@@ -263,7 +263,7 @@ class TestCumulativeCost:
             initial = Marking.initial(net, tokens)
             records = random_feasible_schedule(rng, net, initial)
             starts = [(r.time, r.psi) for r in records
-                      if r.kind is FiringKind.START]
+                      if r.kind == "start"]
             result = run_starts(model, net, initial, starts)
             values = [cost for _, cost in result.cost_series]
             assert values == sorted(values)

@@ -104,7 +104,7 @@ class TestFuzzyStep:
             for record in random_feasible_schedule(rng, net, marking):
                 pulse = np.zeros(net.n_transitions, dtype=int)
                 pulse[record.psi] = 1
-                if record.kind.value == "start":
+                if record.kind == "start":
                     marking = step(net, marking, pulse, 0 * pulse)
                     hmarking = fuzzy_step(fuzzy, hmarking,
                                           pulse.astype(float),

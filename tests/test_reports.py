@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from carenets import reports
 from carenets.cli import main
 from carenets.coordination import RunResult, TraceRow
-from carenets.delivery import (FiringKind, FiringRecord, Marking,
-                               TrajectoryPoint)
+from carenets.delivery import Marking, TrajectoryPoint
 from carenets.scenario import compile_scenario, load_scenario
 
 from helpers import (ACUTE, CHRONIC, oracle_write_delivery_csv,
@@ -102,16 +101,13 @@ def run_results(draw):
         return Marking(np.array(draw(tokens), dtype=int),
                        np.zeros(2, dtype=int))
 
-    result.delivery_trajectory.append(TrajectoryPoint(0.0, None, marking()))
-    result.cost_series.append((0.0, 0.0))
+    result.delivery_trajectory.append(
+        TrajectoryPoint(0.0, None, "initial", marking(), draw(_FLOAT)))
     for _ in range(draw(st.integers(0, 10))):
-        time = draw(_FLOAT)
-        kind = draw(st.sampled_from(list(FiringKind)))
-        record = FiringRecord(draw(st.integers(0, 40)), kind, time)
-        result.delivery_trajectory.append(
-            TrajectoryPoint(time, record, marking()))
-        if kind is FiringKind.COMPLETE:
-            result.cost_series.append((time, draw(_FLOAT)))
+        result.delivery_trajectory.append(TrajectoryPoint(
+            draw(_FLOAT), draw(st.integers(0, 40)),
+            draw(st.sampled_from(["start", "complete"])), marking(),
+            draw(_FLOAT)))
 
     for _ in range(draw(st.integers(0, 10))):
         result.outcome_series.append(
