@@ -479,7 +479,7 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
             for label in ("origin", "destination"):
                 end = spec.get(label)
                 if end is not None and end not in buffer_index:
-                    col.add("cross-references",
+                    col.add("transport-endpoints",
                             f"transport process {spec['name']!r} {label} "
                             f"{end!r} is not a buffer")
             origin = buffer_index.get(spec.get("origin"))
@@ -507,15 +507,15 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         model = StructuralModel.build(resources, processes, knowledge,
                                       constraints)
     except ValidationError as exc:
-        col.grab(exc)
         if exc.check == "transport-endpoints":
             # build names only the first process without two buffer
-            # endpoints; name each other one the document gives none (one
-            # naming a non-buffer is already under cross-references)
+            # endpoints: name each one the document gives none instead
+            # (one naming a non-buffer is already reported above)
             for message in transport_endpoint_failures(
                     [processes[w] for w in lacking], resources):
-                if message != str(exc):
-                    col.add(exc.check, message)
+                col.add(exc.check, message)
+        else:
+            col.grab(exc)
         if exc.check in BUILD_CHECKS:
             col.skip(BUILD_CHECKS[BUILD_CHECKS.index(exc.check) + 1:])
         return None
@@ -661,7 +661,7 @@ def _build_health_net(ind: dict, assumed: dict,
         return HealthNet(tuple(states), tuple(events), m_minus, m_plus,
                          values)
     except ValidationError as exc:
-        col.grab(exc)
+        col.add(exc.check, f"{where}: {exc}")
         return None
 
 

@@ -204,6 +204,10 @@ class Aggregation:
             raise ValidationError(
                 f"{len(self.names)} aggregate names for {n_agg} rows",
                 check="aggregation-partition")
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise ValidationError(f"duplicate aggregate name {name!r}",
+                                      check="aggregation-partition")
         owners: dict[int, int] = {}
         for i, j in self.matrix.coords:
             if j in owners:

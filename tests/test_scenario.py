@@ -26,6 +26,10 @@ def chronic_data():
     return json.loads(CHRONIC.read_text(encoding="utf-8"))
 
 
+# The chronic fixture's clinic buffers: all but "outside clinic".
+CLINIC = ["neurosurgery", "oncology", "care team", "imaging", "pathology"]
+
+
 class TestLoading:
     def test_acute_counts(self, acute):
         assert acute.model.n_buffers == 6
@@ -248,6 +252,18 @@ class TestDefectiveDocuments:
             ("transport-endpoints", "transport process 'Enter clinic' needs "
                                     "an origin and a destination buffer")]
 
+    @pytest.mark.parametrize("endpoint, name", [("origin", "patient"),
+                                                ("destination", "nowhere")])
+    def test_transport_endpoint_naming_a_non_buffer_fails_once(self, endpoint,
+                                                               name):
+        data = chronic_data()
+        (enter,) = [p for p in data["processes"]
+                    if p["name"] == "Enter clinic"]
+        enter[endpoint] = name
+        assert failures_of(data) == [
+            ("transport-endpoints", f"transport process 'Enter clinic' "
+                                    f"{endpoint} {name!r} is not a buffer")]
+
     def test_every_transport_process_lacking_an_endpoint_fails_once(self):
         data = acute_data()
         first, second, third = [p for p in data["processes"]
@@ -402,9 +418,13 @@ def outcome_of(data):
 # "processes", one chronic abstraction failure to
 # "aggregation-partition"), and 3 lost their follow-on "unknown
 # individual" failures (acute seed 92: 31; chronic seeds 251 and 260: 27
-# each).
-PINNED_DIGEST = ("0eca6a23ee672b7f1438b7dcb065553b"
-                 "d6eba148180c27df2036106ffc845b2c")
+# each); re-recorded when a transport endpoint naming a non-buffer moved
+# from "cross-references" to "transport-endpoints" and stopped failing a
+# second time there, which changed entries 16, 36, 62, 152, 221 and 335:
+# 120 messages moved check, and entries 36, 62, 152 and 335 each lost
+# one "needs an origin and a destination buffer" failure.
+PINNED_DIGEST = ("f4c2e80c74624d474c117d692df4f1de"
+                 "fd93c3893f214bc80c799bc633564b4f")
 
 
 def test_pinned_failure_lists_unchanged():
@@ -517,6 +537,77 @@ def test_schema_message(mutate, message):
     assert failures_of(data) == [("schema", message)]
 
 
+def _aggregated(outside, clinic):
+    """The chronic fixture with an explicit two-place aggregation."""
+    def mutate(data):
+        del data["chronic_abstraction"]
+        data["aggregation"] = [{"name": "outside", "members": outside},
+                               {"name": "clinic", "members": clinic}]
+        data["initial_tokens"] = {"outside": 1}
+    return mutate
+
+
+def _default_cost(data):
+    costs = data["assumed_values"]["costs"]
+    del costs["Enter clinic @ patient"], costs["Exit clinic @ patient"]
+    costs["default"] = -1.0
+
+
+_ENTER = "'Enter clinic @ patient'"
+
+# The exact failures of defects the schema accepts and compiling rejects.
+COMPILE_MESSAGES = {
+    "capacity-unknown": (
+        _set(("transition_capacities",), {"bogus @ nowhere": 2}),
+        [("capacities", "capacity names unknown capability "
+                        "'bogus @ nowhere'")]),
+    "capacity-zero": (
+        _set(("transition_capacities",), {"Enter clinic @ patient": 0}),
+        [("capacities", f"capacity for {_ENTER} must be at least 1")]),
+    "duration-negative": (
+        _set(("assumed_values", "durations", "Enter clinic @ patient"), -1.0),
+        [("durations", f"duration for {_ENTER} is negative")]),
+    # one failure per capability that takes the default
+    "cost-default-negative": (
+        _default_cost,
+        [("costs", f"cost for {_ENTER} is negative"),
+         ("costs", "cost for 'Exit clinic @ patient' is negative")]),
+    "outcome-unknown": (
+        _set(("schedule", 11, "outcome"), "nowhere"),
+        [("schedule-references",
+          "schedule[11]: unknown outcome state 'nowhere'")]),
+    "clinic-buffer-unknown": (
+        lambda data: data.update(clinic_buffers=[*CLINIC, "nowhere"]),
+        [("cross-references",
+          "clinic_buffers names unknown buffer 'nowhere'")]),
+    "clinic-buffer-only-unknown": (
+        lambda data: data.update(clinic_buffers=["nowhere"]),
+        [("cross-references",
+          "clinic_buffers names unknown buffer 'nowhere'"),
+         ("aggregation-partition", "clinic buffer set is empty")]),
+    "aggregation-unknown": (
+        _aggregated(["outside clinic"], [*CLINIC, "nowhere"]),
+        [("cross-references",
+          "aggregation names unknown buffer 'nowhere'")]),
+    "aggregation-buffer-twice": (
+        _aggregated(["outside clinic", "neurosurgery"], CLINIC),
+        [("aggregation-partition",
+          "buffer column 0 belongs to aggregates 0 and 1")]),
+    "aggregation-buffer-in-none": (
+        _aggregated(["outside clinic"], CLINIC[1:]),
+        [("aggregation-partition",
+          "buffer columns [0] belong to no aggregate")]),
+}
+
+
+@pytest.mark.parametrize("mutate, failures", COMPILE_MESSAGES.values(),
+                         ids=COMPILE_MESSAGES.keys())
+def test_compile_message(mutate, failures):
+    data = chronic_data()
+    mutate(data)
+    assert failures_of(data) == failures
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("path", [ACUTE, CHRONIC],
                              ids=["acute", "chronic"])
@@ -617,7 +708,8 @@ class TestValidateFile:
         data["assumed_values"][table]["adam"][key] = value
         with pytest.raises(ScenarioError) as err:
             load_scenario_data(data)
-        assert err.value.failures == [failure]
+        check, message = failure
+        assert err.value.failures == [(check, f"individual 'adam': {message}")]
         statuses = self.statuses(data, tmp_path)
         assert statuses["initial-mass"] == "skipped"
         assert statuses["schedule-references"] == "skipped"
@@ -627,7 +719,8 @@ class TestValidateFile:
         data["assumed_values"]["health_state_values"]["adam"]["healthy"] = 2.0
         data["individuals"].append(copy.deepcopy(data["individuals"][0]))
         assert failures_of(data) == [
-            ("health-values", "state values must lie in [0, 1]"),
+            ("health-values", "individual 'adam': state values must lie in "
+                              "[0, 1]"),
             ("health-states", "duplicate individual id 'adam'")]
 
     def test_initial_marking_on_unknown_state_fails_mass_check(self):
@@ -696,9 +789,6 @@ class TestCompile:
         assert compiled.net.durations[enter] == 0.125
 
 
-CLINIC = ["neurosurgery", "oncology", "care team", "imaging", "pathology"]
-
-
 class TestAggregation:
     """The two ways to aggregate buffers: an explicit ``aggregation``, or
     ``chronic_abstraction`` with optional ``clinic_buffers``."""
@@ -741,6 +831,32 @@ class TestAggregation:
         assert failures_of(data) == [
             ("aggregation-partition",
              "clinic_buffers needs chronic_abstraction: true")]
+
+    @pytest.mark.parametrize("rename, name", [(False, "site"),
+                                              (True, "healthcare clinic")])
+    def test_duplicate_aggregate_name_rejected(self, rename, name, tmp_path,
+                                               capsys):
+        # Places are looked up by name, so a repeated name would send
+        # initial tokens to the last aggregate of that name.
+        data = chronic_data()
+        if rename:
+            # the abstraction names the outside aggregate after its one
+            # buffer, here the clinic aggregate's name
+            data = json.loads(json.dumps(data).replace(
+                '"outside clinic"', f'"{name}"'))
+            data["clinic_buffers"] = CLINIC
+        else:
+            _aggregated(["outside clinic"], CLINIC)(data)
+            for aggregate in data["aggregation"]:
+                aggregate["name"] = name
+            data["initial_tokens"] = {name: 1}
+        assert failures_of(data) == [
+            ("aggregation-partition", f"duplicate aggregate name {name!r}")]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "FAIL  aggregation-partition" in capsys.readouterr().out
+        assert main(["dof", str(path)]) == 2
 
     def test_aggregation_excludes_the_abstraction(self):
         data = chronic_data()
