@@ -226,6 +226,7 @@ class RunResult:
 
     @property
     def final_marking(self) -> Marking | None:
+        """Delivery marking after the last firing."""
         trajectory = self.delivery_trajectory
         return trajectory[-1].marking if trajectory else None
 

@@ -192,7 +192,8 @@ class Aggregation:
     """Grouping of buffers into aggregate places.
 
     The matrix has one row per aggregate and one column per buffer; every
-    buffer must belong to exactly one aggregate.
+    buffer must belong to exactly one aggregate, and no two aggregates
+    may share a name, since places are looked up by name.
     """
 
     names: tuple[str, ...]
