@@ -601,7 +601,7 @@ def _assert_invariants(compiled, net, result):
         {compiled.initial.total}
     # one point per delivery firing after the initial one, each carrying
     # the running cost of the completions so far
-    assert points[0][1:3] == (None, "initial")
+    assert (points[0].psi, points[0].kind) == (None, "initial")
     assert [(p.time, p.psi, p.kind) for p in points[1:]] == [
         (row.time, row.index, row.kind) for row in result.trace
         if row.net == "delivery"]
