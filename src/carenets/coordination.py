@@ -13,8 +13,10 @@ When one process realizes several health events, the individual's current
 condition decides: exactly one of the candidates must be enabled under
 the individual's marking. Zero enabled candidates means the care action
 is infeasible; several mean the scenario is ambiguous. Both are errors.
-Each induced event is realized by exactly one process, so the coupling
-identity Fᵀu_L = S·e can hold at every start.
+The coupling identity Fᵀu_L = S·e then holds by construction: the tables
+below accept only selector columns and feasibility rows with at most one
+1, so a start of psi engages the one process p with S·e_psi = e_p and
+fires one of p's candidates, whose row of F is e_p.
 
 :func:`cosimulate` is the package's one discrete-event kernel. It pops
 four kinds of typed event (delivery start and completion, scheduled health
@@ -32,6 +34,7 @@ form as test oracles.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -60,9 +63,7 @@ def build_feasibility(net: HealthNet,
                     f"event {ev.name!r} names unknown transformation "
                     f"process {name!r}", check="feasibility-tags")
             matrix[ev.index, index[name]] = 1
-    row_sums = matrix.sum(axis=1)
-    for ev in net.events:
-        row_sum = int(row_sums[ev.index])
+    for ev, row_sum in zip(net.events, matrix.sum(axis=1).tolist()):
         if row_sum > 1:
             raise ValidationError(
                 f"induced event {ev.name!r} is realized by {row_sum} "
@@ -87,15 +88,13 @@ def system_firing(engagement: np.ndarray) -> np.ndarray:
     return np.asarray(engagement, dtype=int).sum(axis=1)
 
 
-def check_coupling(realized: np.ndarray, engaged: np.ndarray) -> int:
-    """Largest entry of |Fᵀu_L − S·e|, the coupling residual, given the
-    realized counts Fᵀu_L and the engaged counts S·e; it must be 0."""
-    residual = int(np.abs(realized - engaged).max(initial=0))
-    if residual:
+def check_coupling(realized: np.ndarray, engaged: np.ndarray) -> None:
+    """Raise unless the realized counts Fᵀu_L equal the engaged counts
+    S·e, that is unless the coupling residual is 0."""
+    if not np.array_equal(realized, engaged):
         raise SimulationError(
             "induced firing vector does not reproduce the engaged "
             "transformation counts")
-    return residual
 
 
 def induced_event(net: HealthNet, marking: HealthMarking, process: int,
@@ -121,16 +120,11 @@ def induced_event(net: HealthNet, marking: HealthMarking, process: int,
 def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
                          engagement: np.ndarray, net: HealthNet,
                          marking: HealthMarking) -> np.ndarray:
-    """Health-event firing vector induced for one individual.
-
-    ``engagement`` is the individual's column of the engagement matrix,
-    one entry per delivery transition. For every transformation process
-    the individual is engaged in, the unique enabled candidate among the
-    events it realizes fires. The result is verified to reproduce the
-    engaged transformation counts exactly before it is returned. This is
-    the matrix oracle of the kernel's index tables; the kernel does not
-    call it.
-    """
+    """Health-event firing vector induced for one individual by
+    ``engagement``, its column of the engagement matrix: for every process
+    it engages, the unique enabled candidate fires, and the result is
+    checked against the coupling identity. The matrix oracle of the
+    kernel's index tables; the kernel does not call it."""
     rhs = selector @ np.asarray(engagement, dtype=int)
     u_l = np.zeros(net.n_events, dtype=int)
     for j in np.nonzero(rhs)[0]:
@@ -140,18 +134,31 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
     return u_l
 
 
+def _one_hot(matrix: np.ndarray, axis: int, what: str,
+             check: str = "structure") -> np.ndarray:
+    """``matrix`` as an array if it holds only 0 and 1, with at most one 1
+    per column (axis 0) or row (axis 1), so its index table is exact."""
+    matrix = np.asarray(matrix)
+    if np.isin(matrix, (0, 1)).all() and (matrix.sum(axis) <= 1).all():
+        return matrix
+    raise ValidationError(f"{what} must hold only 0 and 1, with at most one "
+                          f"1 per {('column', 'row')[axis]}", check=check)
+
+
 def process_table(selector: np.ndarray) -> list[int]:
     """Transformation process of every delivery transition, or -1: the
     selector's columns as indices."""
     return [int(column.argmax()) if column.any() else -1
-            for column in np.asarray(selector).T]
+            for column in _one_hot(selector, 0,
+                                   "the transformation selector").T]
 
 
 def candidate_table(feasibility: np.ndarray) -> list[tuple[int, ...]]:
     """Health events each transformation process realizes: the
     feasibility matrix's columns as index tuples."""
     return [tuple(np.flatnonzero(column).tolist())
-            for column in np.asarray(feasibility).T]
+            for column in _one_hot(feasibility, 1, "a feasibility matrix",
+                                   check="feasibility-tags").T]
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,24 +203,17 @@ class TraceRow(NamedTuple):
     kind: str
 
 
-class CouplingCheck(NamedTuple):
-    """Residual of the firing-coupling identity at one start instant."""
-
-    time: float
-    psi: int
-    individual: str
-    residual: int
-
-
 @dataclass
 class RunResult:
+    """``coupling_checks``: one (time, psi, individual) per delivery start,
+    kept only because the benchmark harness counts it (see ROADMAP)."""
+
     trace: list[TraceRow] = field(default_factory=list)
     delivery_trajectory: list[TrajectoryPoint] = field(default_factory=list)
     outcome_series: list[tuple[float, str, float]] = field(
         default_factory=list)
-    coupling_checks: list[CouplingCheck] = field(default_factory=list)
-    mass_checks: list[tuple[float, str, float]] = field(default_factory=list)
-    completion_counts: np.ndarray | None = None
+    coupling_checks: list[tuple[float, int, str]] = field(
+        default_factory=list)
     final_health: dict[str, HealthMarking] = field(default_factory=dict)
     skipped_actions: int = 0
 
@@ -270,26 +270,15 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     duration. The events of one instant run in the order of :data:`RANK`,
     and within a rank in the order they were queued. In sample mode,
     branch outcomes are drawn from a generator seeded once for the whole
-    run. An event that cannot be applied raises :class:`SimulationError`
-    naming that event.
+    run. Bad inputs raise :class:`ValidationError` before any event runs;
+    an event the state cannot support, or a clock or cumulative cost that
+    leaves the finite floats, raises :class:`SimulationError` naming it.
     """
     if mode not in ("replay", "sample"):
         raise ValidationError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed) if mode == "sample" else None
-
     by_id = {ind.id: ind for ind in individuals}
     if len(by_id) != len(individuals):
         raise ValidationError("duplicate individual ids")
-    markings = {ind.id: ind.initial for ind in individuals}
-
-    result = RunResult()
-    result.delivery_trajectory.append(
-        TrajectoryPoint(0.0, None, "initial", initial, 0.0))
-    for ind in individuals:
-        result.outcome_series.append(
-            (0.0, ind.id,
-             health.health_outcome(ind.net.values, ind.initial.state_mass)))
-
     heap: list[tuple] = []
     seq = 0
 
@@ -303,14 +292,31 @@ def cosimulate(net: DeliveryNet, initial: Marking,
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
         push(action.time, action)
-
+    for action in health_actions:
+        events = by_id[action.individual].net.events
+        for ev in action.events:
+            if not events[ev].is_stochastic:
+                raise ValidationError(
+                    f"health action at t={action.time} for individual "
+                    f"{action.individual!r}: induced event "
+                    f"{events[ev].name!r} cannot be scheduled directly")
     # Index tables read off the matrices once per call: a start looks up
     # its process and candidate events instead of multiplying the
     # selector by an engagement vector and scanning feasibility columns.
-    selector = np.asarray(selector)
     process_of = process_table(selector)
     candidates = {ind.id: candidate_table(ind.feasibility)
                   for ind in individuals}
+
+    rng = np.random.default_rng(seed) if mode == "sample" else None
+    markings = {ind.id: ind.initial for ind in individuals}
+    result = RunResult()
+    result.delivery_trajectory.append(
+        TrajectoryPoint(0.0, None, "initial", initial, 0.0))
+    for ind in individuals:
+        result.outcome_series.append(
+            (0.0, ind.id,
+             health.health_outcome(ind.net.values, ind.initial.state_mass)))
+
     health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
     values = {ind.id: np.asarray(ind.net.values, dtype=float)
               for ind in individuals}
@@ -325,15 +331,13 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     trajectory = result.delivery_trajectory
 
     marking = initial
-    completions = np.zeros(net.n_transitions, dtype=int)
     total_cost = 0.0
 
     def record_outcome(time: float, ind_id: str) -> None:
         # health.health_outcome without its per-call conversions
-        current = markings[ind_id]
         result.outcome_series.append(
-            (time, ind_id, float(values[ind_id] @ current.state_mass)))
-        result.mass_checks.append((time, ind_id, current.total_mass))
+            (time, ind_id,
+             float(values[ind_id] @ markings[ind_id].state_mass)))
 
     def start_health_event(time, ind_id, event, outcome):
         hnet = by_id[ind_id].net
@@ -363,25 +367,17 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                         time, psi, "start", marking, total_cost))
                     push(time + durations[psi],
                          DeliveryCompletion(psi, ind_id))
+                    result.coupling_checks.append((time, psi, ind_id))
 
                     process = process_of[psi]
-                    if process < 0:
-                        result.coupling_checks.append(
-                            CouplingCheck(time, psi, ind_id, 0))
-                        continue
-                    ind = by_id[ind_id]
-                    ev = induced_event(ind.net, markings[ind_id], process,
-                                       candidates[ind_id][process])
-                    # Fᵀu_L and S·e for u_L = e_ev and e = e_psi
-                    residual = check_coupling(ind.feasibility[ev],
-                                              selector[:, psi])
-                    result.coupling_checks.append(
-                        CouplingCheck(time, psi, ind_id, residual))
-                    start_health_event(time, ind_id, ev, event.outcome)
+                    if process >= 0:
+                        ev = induced_event(by_id[ind_id].net,
+                                           markings[ind_id], process,
+                                           candidates[ind_id][process])
+                        start_health_event(time, ind_id, ev, event.outcome)
 
                 case DeliveryCompletion(psi=psi):
                     marking = step(net, marking, zero, pulses[psi])
-                    completions[psi] += 1
                     total_cost += costs[psi]
                     trace.append(TraceRow(time, "delivery", labels[psi], psi,
                                           "complete"))
@@ -390,11 +386,6 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
                 case HealthAction(events=events):
                     hnet = by_id[ind_id].net
-                    for ev in events:
-                        if not hnet.events[ev].is_stochastic:
-                            raise ValidationError(
-                                f"induced event {hnet.events[ev].name!r} "
-                                f"cannot be scheduled directly")
                     enabled = [ev for ev in events
                                if health.is_enabled(hnet, markings[ind_id],
                                                     ev)]
@@ -437,6 +428,18 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 f"{exc}", time=time, net=where, label=label,
                 individual=ind_id) from exc
 
-    result.completion_counts = completions
-    result.final_health = dict(markings)
-    return result
+    # Costs are non-negative and the queue pops times in order, so the
+    # clock and the cost only grow: if both end finite, every record is.
+    if trace and not math.isfinite(trace[-1].time):
+        row = next(row for row in trace if not math.isfinite(row.time))
+        time, where, label, what = row.time, row.net, row.label, "clock"
+    elif not math.isfinite(total_cost):
+        point = next(p for p in trajectory if not math.isfinite(p.cost))
+        time, where, label = point.time, "delivery", labels[point.psi]
+        what = "cumulative cost"
+    else:
+        result.final_health = dict(markings)
+        return result
+    raise SimulationError(f"at t={time}, {where} {label!r}: the {what} has "
+                          f"left the finite floats", time=time, net=where,
+                          label=label)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import Sequence
 
 from .coordination import RunResult
-from .errors import CareNetsError
 from .scenario import CompiledScenario, ScenarioDocument, compile_scenario
 
 
@@ -91,7 +91,8 @@ def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
         f"transitions: {compiled.net.n_transitions}",
         f"individuals: {len(compiled.individuals)}",
         f"events applied: {len(result.trace)}",
-        f"delivery completions: {int(result.completion_counts.sum())}",
+        f"delivery completions: "
+        f"{sum(p.kind == 'complete' for p in result.delivery_trajectory)}",
         f"skipped optional health actions: {result.skipped_actions}",
         f"final cost: {_fmt(result.delivery_trajectory[-1].cost)}",
     ]
@@ -106,10 +107,8 @@ def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
 
 
 def final_outcome_by_individual(result: RunResult) -> dict[str, float]:
-    outcomes: dict[str, float] = {}
-    for _, individual, outcome in result.outcome_series:
-        outcomes[individual] = outcome
-    return outcomes
+    return {individual: outcome
+            for _, individual, outcome in result.outcome_series}
 
 
 def write_run(out_dir: Path, compiled: CompiledScenario, result: RunResult,
@@ -129,8 +128,9 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
     With ``runs`` greater than one, independent runs seeded ``seed``,
     ``seed + 1``, ... execute one after another, each writing into its own
     subdirectory, and their summary statistics merge into a top-level runs
-    table. If a run or a write fails, the report files written so far are
-    removed, and so is every directory that did not exist before.
+    table. If a run or a write fails, whatever the exception, the report
+    files written so far are removed, and so is every directory that did
+    not exist before.
     """
     out_dir = Path(out_dir)
     compiled = compile_scenario(doc)
@@ -153,42 +153,41 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
         for k, result in enumerate(results):
             write_run(claim(out_dir / f"run_{k:03d}"), compiled, result,
                       mode, seed + k)
-            outcomes = final_outcome_by_individual(result)
             rows.append((k, seed + k, result.delivery_trajectory[-1].cost,
-                         outcomes))
+                         final_outcome_by_individual(result)))
 
-        out_dir.mkdir(parents=True, exist_ok=True)
-        runs_path = out_dir / "runs.csv"
         ids = [ind.id for ind in compiled.individuals]
-        with runs_path.open("w", encoding="utf-8", newline="") as handle:
+        with (out_dir / "runs.csv").open("w", encoding="utf-8",
+                                         newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["run", "seed", "final_cost"]
                             + [f"final_outcome:{i}" for i in ids])
             for k, run_seed, cost, outcomes in rows:
                 writer.writerow([k, run_seed, _fmt(cost)]
                                 + [_fmt(outcomes[i]) for i in ids])
-        costs = [row[2] for row in rows]
-        lines = [f"scenario: {compiled.doc.name}",
-                 f"mode: {mode}",
-                 f"runs: {runs}",
-                 f"base seed: {seed}",
-                 f"mean final cost: {_fmt(sum(costs) / runs)}",
-                 f"min final cost: {_fmt(min(costs))}",
-                 f"max final cost: {_fmt(max(costs))}"]
+        lines = [f"scenario: {compiled.doc.name}", f"mode: {mode}",
+                 f"runs: {runs}", f"base seed: {seed}",
+                 *_stats("final cost", [row[2] for row in rows])]
         for ind_id in ids:
-            values = [row[3][ind_id] for row in rows]
-            lines.append(f"mean final outcome for {ind_id}: "
-                         f"{_fmt(sum(values) / runs)}")
-            lines.append(f"min final outcome for {ind_id}: "
-                         f"{_fmt(min(values))}")
-            lines.append(f"max final outcome for {ind_id}: "
-                         f"{_fmt(max(values))}")
+            lines += _stats(f"final outcome for {ind_id}",
+                            [row[3][ind_id] for row in rows])
         (out_dir / "summary.txt").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
         return out_dir
-    except (CareNetsError, OSError):
+    except BaseException:
         _cleanup(touched)
         raise
+
+
+def _stats(label: str, values: list[float]) -> list[str]:
+    """Mean, min and max summary lines. Only when the sum of the finite
+    values overflows, as costs near the largest float can, is the mean
+    taken term by term."""
+    total = sum(values)
+    mean = (total / len(values) if math.isfinite(total)
+            else sum(value / len(values) for value in values))
+    return [f"{kind} {label}: {_fmt(value)}" for kind, value in
+            (("mean", mean), ("min", min(values)), ("max", max(values)))]
 
 
 def _cleanup(touched: list[tuple[Path, bool]]) -> None:

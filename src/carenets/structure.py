@@ -210,7 +210,7 @@ class Aggregation:
                 raise ValidationError(f"duplicate aggregate name {name!r}",
                                       check="aggregation-partition")
         owners: dict[int, int] = {}
-        for i, j in self.matrix.coords:
+        for i, j in sorted(self.matrix.coords):
             if j in owners:
                 raise ValidationError(
                     f"buffer column {j} belongs to aggregates {owners[j]} "
@@ -446,20 +446,16 @@ def apply_chronic_abstraction(model: StructuralModel,
             "no transport capability enters or exits the clinic",
             check="aggregation-partition")
 
-    eliminated = set()
-    for w, v in model.concept.coords:
-        p = model.processes[w]
-        if p.is_transport and p.origin in clinic and p.destination in clinic:
-            eliminated.add((w, v))
-
+    inner = {p.id for p in model.processes if p.is_transport
+             and p.origin in clinic and p.destination in clinic}
+    eliminated = {(w, v) for w, v in model.concept.coords if w in inner}
     constraints = BoolMatrix(model.constraints.shape,
-                             model.constraints.coords | frozenset(eliminated))
+                             model.constraints.coords | eliminated)
 
-    buffer_ids = [r.id for r in buffers]
-    pairs = [(0, buffer_ids.index(b)) for b in outside]
-    pairs += [(1, buffer_ids.index(b)) for b in sorted(clinic)]
-    outside_label = buffers[buffer_ids.index(outside[0])].name \
-        if len(outside) == 1 else OUTSIDE_CLINIC
+    # build orders resources by class, so buffer ids are 0, 1, ...
+    pairs = [(0, b) for b in outside] + [(1, b) for b in sorted(clinic)]
+    outside_label = (buffers[outside[0]].name if len(outside) == 1
+                     else OUTSIDE_CLINIC)
     aggregation = Aggregation(
         names=(outside_label, CLINIC),
         matrix=BoolMatrix.from_pairs((2, len(buffers)), pairs))

@@ -12,12 +12,17 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import pytest
 
+from carenets import health
 from carenets.coordination import (DeliveryAction, Individual, RunResult,
                                    build_feasibility,
-                                   build_transform_selector, cosimulate)
+                                   build_transform_selector, cosimulate,
+                                   induce_health_firing)
 from carenets.delivery import DeliveryNet, Marking, step
-from carenets.health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
+from carenets.errors import SimulationError
+from carenets.health import (MASS_TOL, HealthEvent, HealthEventKind,
+                             HealthMarking, HealthNet)
 from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
                                 ResourceClass, StructuralModel)
 
@@ -229,6 +234,84 @@ def run_health_actions(net: HealthNet, marking: HealthMarking, actions,
     return cosimulate(delivery, Marking.initial(delivery, [1]), [individual],
                       np.zeros((0, 0), dtype=int), [], actions, mode=mode,
                       seed=seed)
+
+
+def completion_counts(result: RunResult, n_transitions: int) -> np.ndarray:
+    """Delivery completions per transition, counted over the trajectory."""
+    return np.bincount([point.psi for point in result.delivery_trajectory
+                        if point.kind == "complete"],
+                       minlength=n_transitions)
+
+
+class Observed(NamedTuple):
+    """A kernel run and the health markings it went through: ``starts``
+    holds (marking before, event) for each health start in trace order,
+    ``produced`` every marking a health start or completion returned."""
+
+    result: RunResult | SimulationError
+    starts: list[tuple[HealthMarking, int]]
+    produced: list[HealthMarking]
+
+
+def observe(run) -> Observed:
+    """Call ``run()`` with the kernel's health primitives recorded."""
+    starts, produced = [], []
+    start_event, apply_completion = health.start_event, health.apply_completion
+
+    def recorded_start(net, marking, event):
+        starts.append((marking, event))
+        produced.append(start_event(net, marking, event))
+        return produced[-1]
+
+    def recorded_completion(*args):
+        produced.append(apply_completion(*args))
+        return produced[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(health, "start_event", recorded_start)
+        patch.setattr(health, "apply_completion", recorded_completion)
+        try:
+            result = run()
+        except SimulationError as exc:
+            result = exc
+    return Observed(result, starts, produced)
+
+
+def assert_coupled_and_conserved(individuals: Sequence[Individual],
+                                 selector: np.ndarray,
+                                 observed: Observed) -> int:
+    """Every transformation start of a successful run is followed at once
+    by its induced event, and that event equals what the matrix oracle
+    :func:`induce_health_firing` fires on the same marking (the oracle
+    checks the coupling identity); every health marking the kernel
+    produced carries unit mass within ``MASS_TOL``. Returns how many
+    induced events were checked."""
+    by_id = {ind.id: ind for ind in individuals}
+    rows = observed.result.trace
+    health_starts = [k for k, row in enumerate(rows)
+                     if row.net != "delivery" and row.kind == "start"]
+    assert len(health_starts) == len(observed.starts)
+    induced = 0
+    for k, (marking, event) in zip(health_starts, observed.starts):
+        row, before = rows[k], rows[k - 1]
+        assert row.index == event
+        if k == 0 or (before.net, before.kind) != ("delivery", "start") \
+                or not selector[:, before.index].any():
+            continue
+        ind = by_id[row.net.removeprefix("health:")]
+        engagement = np.zeros(selector.shape[1], dtype=int)
+        engagement[before.index] = 1
+        expected = np.zeros(ind.net.n_events, dtype=int)
+        expected[event] = 1
+        assert np.array_equal(
+            induce_health_firing(ind.feasibility, selector, engagement,
+                                 ind.net, marking), expected)
+        induced += 1
+    assert induced == sum(selector[:, row.index].any() for row in rows
+                          if (row.net, row.kind) == ("delivery", "start"))
+    assert all(abs(marking.total_mass - 1.0) <= MASS_TOL
+               for marking in observed.produced)
+    return induced
 
 
 def random_health_net(rng: np.random.Generator,

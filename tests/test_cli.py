@@ -1,6 +1,9 @@
 import json
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from carenets.cli import main
 from carenets.scenario import compile_scenario, load_scenario
@@ -183,4 +186,108 @@ class TestSpreadMarking:
             "error: at t=0.0, health:adam 'Rupture ACL', individual 'adam': "
             "none of the scheduled health events ['Rupture ACL'] is "
             "enabled\n")
+        assert not out.exists()
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestFiniteArithmetic:
+    """Costs are non-negative and times only grow, so a run fails cleanly
+    when its clock or cumulative cost overflows, and writes nothing."""
+
+    @pytest.mark.parametrize("flags", [[], ["--mode", "sample", "--runs",
+                                            "3"]])
+    def test_cost_overflow_exits_one_without_reports(self, tmp_path, capsys,
+                                                     flags):
+        data = json.loads(read(ACUTE))
+        data["assumed_values"]["costs"] = {"default": 1e308}
+        path = _write(tmp_path, data)
+        assert main(["validate", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: at t=4.25, delivery 'Go from outside clinic to reception "
+            "@ patient': the cumulative cost has left the finite floats\n")
+        assert not out.exists()
+
+    def test_clock_overflow_exits_one_without_reports(self, tmp_path,
+                                                      capsys):
+        # a second individual whose rupture starts at 1e308 and lasts
+        # 1e308, so it completes at inf
+        data = json.loads(read(ACUTE))
+        (adam,) = data["individuals"]
+        data["individuals"].append(dict(adam, id="eve"))
+        assumed = data["assumed_values"]
+        for table in ("health_state_values", "health_event_durations"):
+            assumed[table]["eve"] = dict(assumed[table]["adam"])
+        assumed["health_event_durations"]["eve"]["Rupture ACL"] = 1e308
+        data["schedule"].append({"time": 1e308, "individual": "eve",
+                                 "event": "Rupture ACL"})
+        out = tmp_path / "out"
+        assert main(["simulate", str(_write(tmp_path, data)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: at t=inf, health:eve 'Rupture ACL': the clock has left "
+            "the finite floats\n")
+        assert not out.exists()
+
+    def test_mean_of_costs_near_the_largest_float(self, tmp_path):
+        # each run's cost is finite; their sum is not
+        data = json.loads(read(ACUTE))
+        data["assumed_values"]["costs"] = {
+            "default": 0.0, "Treat acute symptoms @ emergency room": 1.7e308}
+        out = tmp_path / "mc"
+        assert main(["simulate", str(_write(tmp_path, data)), "--mode",
+                     "sample", "--runs", "2", "--out", str(out)]) == 0
+        summary = read(out / "summary.txt").splitlines()
+        assert summary[4].removeprefix("mean ") == \
+            summary[5].removeprefix("min ")
+
+
+_EXTREME = st.sampled_from([0.0, 5e-324, 1.0, 1e308])
+
+
+@st.composite
+def extreme_documents(draw):
+    """A bundled fixture whose durations, costs and health-event durations
+    (each table kept, set to one value, or set entry by entry), and
+    optionally schedule times, are drawn from 0, the smallest subnormal,
+    1 and 1e308, so equal times are common."""
+    data = json.loads(read(draw(st.sampled_from([ACUTE, CHRONIC]))))
+    assumed = data["assumed_values"]
+    for table in (assumed["durations"], assumed["costs"],
+                  *assumed["health_event_durations"].values()):
+        how = draw(st.sampled_from(["keep", "one", "each"]))
+        if how == "one":
+            table.update(dict.fromkeys(table, draw(_EXTREME)))
+        elif how == "each":
+            table.update({key: draw(_EXTREME) for key in table})
+    if draw(st.booleans()):
+        schedule = data["schedule"]
+        times = draw(st.lists(_EXTREME, min_size=len(schedule),
+                              max_size=len(schedule)))
+        for entry, time in zip(schedule, sorted(times)):
+            entry["time"] = time
+    return data
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "sample", "--seed", "1",
+                                        "--runs", "2"]])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=extreme_documents())
+def test_extreme_values_run_or_fail_cleanly(tmp_path, capsys, flags, data):
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = main(["simulate", str(_write(tmp_path, data)), "--out", str(out),
+                 *flags])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert (out / "summary.txt").exists()
+    else:
+        assert code == 1 and err.startswith("error: "), err
         assert not out.exists()

@@ -25,7 +25,8 @@ from carenets.scenario import compile_scenario, load_scenario_data
 from carenets.structure import (Process, Resource, ResourceClass,
                                 StructuralModel)
 
-from helpers import ACUTE, CHRONIC, run_starts
+from helpers import (ACUTE, CHRONIC, assert_coupled_and_conserved,
+                     completion_counts, observe, run_starts)
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
@@ -97,10 +98,11 @@ class TestSystemFiring:
         col = {ind.id: i for i, ind in enumerate(compiled.individuals)}
         engagement = np.zeros((compiled.net.n_transitions,
                                len(col)), dtype=int)
-        for check in result.coupling_checks:
-            engagement[check.psi, col[check.individual]] += 1
-        assert np.array_equal(system_firing(engagement),
-                              result.completion_counts)
+        for action in compiled.delivery_actions:
+            engagement[action.psi, col[action.individual]] += 1
+        assert np.array_equal(
+            system_firing(engagement),
+            completion_counts(result, compiled.net.n_transitions))
 
     def test_capacity_violation(self):
         # two individuals engaging a capacity-1 transition at one instant:
@@ -367,9 +369,13 @@ class TestCosimulate:
         assert labels == {"fall ill", "therapy for x"}
 
     def test_coupling_residual_zero_on_every_start(self):
-        _, result = self.run_episode()
-        assert len(result.coupling_checks) == 4
-        assert all(check.residual == 0 for check in result.coupling_checks)
+        # the therapy start fires what the matrix oracle fires, which
+        # checks the coupling identity
+        _, _, individual, selector, _, _ = cosim_setup()
+        observed = observe(lambda: self.run_episode()[1])
+        assert assert_coupled_and_conserved([individual], selector,
+                                            observed) == 1
+        assert len(observed.produced) == 4
 
     def test_conservation_of_both_nets(self):
         individual, result = self.run_episode()
@@ -458,35 +464,91 @@ class TestCosimulate:
         net = DeliveryNet.from_model(model, [1.0], [20.0])
         result = run_starts(model, net, Marking.initial(net, [1]),
                             [(0.0, 0), (2.0, 0)])
-        assert [check.residual for check in result.coupling_checks] == [0, 0]
+        # no transformation process, so no start induces a health event
+        assert [(row.net, row.kind) for row in result.trace] == [
+            ("delivery", "start"), ("delivery", "complete")] * 2
         assert result.cost_series[-1] == (3.0, 40.0)
 
-    def test_coupling_failure_rejected_by_kernel_and_oracle(self):
+    @pytest.mark.parametrize("duration, cost, time, what", [
+        (1e308, 0.0, float("inf"), "clock"),
+        (1.0, 1e308, 1e308, "cumulative cost")])
+    def test_overflow_names_the_first_infinite_point(self, duration, cost,
+                                                     time, what):
+        model = StructuralModel.build([Resource(0, "lab", M)],
+                                      [Process(0, "test", M)], [(0, 0)])
+        net = DeliveryNet.from_model(model, [duration], [cost])
+        with pytest.raises(SimulationError) as err:
+            run_starts(model, net, Marking.initial(net, [1]),
+                       [(0.0, 0), (1e308, 0)])
+        assert str(err.value) == (f"at t={time}, delivery 'test @ lab': the "
+                                  f"{what} has left the finite floats")
+        assert (err.value.time, err.value.net, err.value.label) == (
+            time, "delivery", "test @ lab")
+
+    def test_coupling_failure_rejected_by_kernel_and_oracle(self,
+                                                            monkeypatch):
         # An unvalidated feasibility entry of 2 counts the induced event
-        # twice against one engagement, so Fᵀu_L ≠ S·e.
+        # twice against one engagement, so Fᵀu_L ≠ S·e. The oracle finds
+        # it at the firing; the kernel rejects the matrix before any event.
         _, net, individual, selector, _, dofs = cosim_setup()
         sick = HealthMarking.point(individual.net, "condition x")
         doubled = dataclasses.replace(
             individual, initial=sick, feasibility=2 * individual.feasibility)
-        message = ("induced firing vector does not reproduce the engaged "
-                   "transformation counts")
         engagement = np.zeros(net.n_transitions, dtype=int)
         engagement[dofs["therapy"]] = 1
-        with pytest.raises(SimulationError, match=message):
+        with pytest.raises(SimulationError,
+                           match="induced firing vector does not reproduce "
+                                 "the engaged transformation counts"):
             induce_health_firing(doubled.feasibility, selector, engagement,
                                  doubled.net, sick)
-        in_clinic = Marking.initial(net, [1, 0])
-        with pytest.raises(SimulationError, match=message) as err:
-            cosimulate(net, in_clinic, [doubled], selector,
-                       [DeliveryAction(1.0, dofs["therapy"], "p1")], [])
-        assert err.value.label == "therapy @ clinic"
+        err = _rejected_before_any_event(
+            monkeypatch, net, Marking.initial(net, [1, 0]), [doubled],
+            selector, [DeliveryAction(1.0, dofs["therapy"], "p1")], [])
+        assert str(err) == ("a feasibility matrix must hold only 0 and 1, "
+                            "with at most one 1 per row")
+        assert err.check == "feasibility-tags"
 
-    def test_induced_event_cannot_be_scheduled(self):
+    def test_feasibility_row_with_two_processes_rejected(self, monkeypatch):
         _, net, individual, selector, initial, _ = cosim_setup()
-        with pytest.raises(SimulationError) as err:
-            cosimulate(net, initial, [individual], selector, [],
-                       [HealthAction(1.0, "p1", (1,))])
-        assert "scheduled directly" in str(err.value)
+        two = dataclasses.replace(individual, feasibility=np.array(
+            [[0, 0], [1, 1], [1, 0]]))
+        err = _rejected_before_any_event(monkeypatch, net, initial, [two],
+                                         np.vstack([selector, selector * 0]),
+                                         [], [])
+        assert "at most one 1 per row" in str(err)
+
+    def test_selector_column_with_two_processes_rejected(self, monkeypatch):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        doubled = np.vstack([selector, selector])
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], doubled,
+            [DeliveryAction(1.0, dofs["check"], "p1")], [])
+        assert str(err) == ("the transformation selector must hold only 0 "
+                            "and 1, with at most one 1 per column")
+
+    def test_induced_event_cannot_be_scheduled(self, monkeypatch):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], selector,
+            [DeliveryAction(0.5, dofs["check"], "p1")],
+            [HealthAction(1.0, "p1", (0,)), HealthAction(2.0, "p1", (0, 1))])
+        assert str(err) == ("health action at t=2.0 for individual 'p1': "
+                            "induced event 'therapy for x' cannot be "
+                            "scheduled directly")
+
+
+def _rejected_before_any_event(monkeypatch, *args) -> ValidationError:
+    """The ValidationError ``cosimulate(*args)`` raises, checking that no
+    delivery or health firing ran before it."""
+    def no_firing(*_):
+        raise AssertionError("an event ran before the entry checks")
+
+    for owner, name in ((coordination, "step"), (health, "start_event"),
+                        (health, "is_enabled")):
+        monkeypatch.setattr(owner, name, no_firing)
+    with pytest.raises(ValidationError) as err:
+        cosimulate(*args)
+    return err.value
 
 
 class TestZeroDuration:
@@ -587,15 +649,13 @@ def _shifted(compiled, stretch, squeezed, zeroed):
 
 
 def _run(compiled, net, delivery, health, mode):
-    try:
-        return cosimulate(net, compiled.initial, compiled.individuals,
-                          compiled.selector, delivery, health, mode=mode,
-                          seed=3)
-    except SimulationError as exc:
-        return exc
+    return observe(lambda: cosimulate(
+        net, compiled.initial, compiled.individuals, compiled.selector,
+        delivery, health, mode=mode, seed=3))
 
 
-def _assert_invariants(compiled, net, result):
+def _assert_invariants(compiled, net, observed):
+    result = observed.result
     points = result.delivery_trajectory
     assert {point.marking.total for point in points} == \
         {compiled.initial.total}
@@ -610,11 +670,14 @@ def _assert_invariants(compiled, net, result):
         if point.kind == "complete":
             running += float(net.costs[point.psi])
         assert point.cost == running
-    assert all(abs(total - 1.0) <= 1e-9
-               for _, _, total in result.mass_checks)
-    assert all(check.residual == 0 for check in result.coupling_checks)
-    assert result.cost_series[-1][1] == float(
-        net.costs @ result.completion_counts)
+    assert_coupled_and_conserved(compiled.individuals, compiled.selector,
+                                 observed)
+    # every scheduled start completed
+    counts = completion_counts(result, net.n_transitions)
+    assert np.array_equal(counts, np.bincount(
+        [action.psi for action in compiled.delivery_actions],
+        minlength=net.n_transitions))
+    assert result.cost_series[-1][1] == float(net.costs @ counts)
     assert result.final_marking.busy_tokens.sum() == 0
 
 
@@ -629,22 +692,26 @@ def test_kernel_invariants_on_shifted_schedules(request, name, stretch,
     compiled = request.getfixturevalue(name)
     net, delivery, health = _shifted(compiled, stretch, squeezed, zeroed)
     replay = _run(compiled, net, delivery, health, "replay")
-    if not isinstance(replay, SimulationError):
+    if not isinstance(replay.result, SimulationError):
         _assert_invariants(compiled, net, replay)
     else:
         # stretched gaps and zero durations only bring tokens and mass
         # back earlier, so only a squeezed schedule may become infeasible
-        assert squeezed, replay
-    first, second = (_run(compiled, net, delivery, health, "sample")
-                     for _ in range(2))
+        assert squeezed, replay.result
+    observed = [_run(compiled, net, delivery, health, "sample")
+                for _ in range(2)]
+    first, second = (run.result for run in observed)
     if isinstance(first, SimulationError):
         assert str(first) == str(second)
         return
-    _assert_invariants(compiled, net, first)
+    _assert_invariants(compiled, net, observed[0])
     assert first.trace == second.trace
     assert first.cost_series == second.cost_series
     assert first.outcome_series == second.outcome_series
-    assert first.mass_checks == second.mass_checks
+    assert all(np.array_equal(a.state_mass, b.state_mass)
+               and np.array_equal(a.event_mass, b.event_mass)
+               for a, b in zip(*(run.produced for run in observed),
+                               strict=True))
     assert all(np.array_equal(first.final_health[i].state_mass,
                               second.final_health[i].state_mass)
                for i in first.final_health)

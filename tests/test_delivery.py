@@ -9,9 +9,9 @@ from carenets.errors import NotEnabledError, SimulationError
 from carenets.structure import (Aggregation, Process, Resource,
                                 ResourceClass, StructuralModel)
 
-from helpers import (bool_matrix, oracle_incidence, random_delivery_net,
-                     random_feasible_schedule, random_model, run_starts,
-                     step_replay)
+from helpers import (bool_matrix, completion_counts, oracle_incidence,
+                     random_delivery_net, random_feasible_schedule,
+                     random_model, run_starts, step_replay)
 
 F = ResourceClass.TRANSFORMATION
 M = ResourceClass.MEASUREMENT
@@ -270,6 +270,7 @@ class TestCumulativeCost:
             counts = np.zeros(net.n_transitions)
             for _, psi in starts:
                 counts[psi] += 1
-            assert np.array_equal(result.completion_counts, counts)
+            assert np.array_equal(
+                completion_counts(result, net.n_transitions), counts)
             assert values[-1] == pytest.approx(float(net.costs @ counts),
                                                abs=0)

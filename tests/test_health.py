@@ -223,7 +223,7 @@ class TestStochasticFiring:
     def test_induced_event_rejected(self):
         net = resection_net()
         marking = HealthMarking.point(net, "sick")
-        with pytest.raises(SimulationError) as err:
+        with pytest.raises(ValidationError) as err:
             run_health_actions(net, marking, [HealthAction(0.0, "p", (0,))])
         assert "cannot be scheduled directly" in str(err.value)
 

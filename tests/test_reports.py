@@ -67,6 +67,25 @@ class TestSimulateToDirCleanup:
                                     runs=4)
         assert report_files(out) == ["keep.txt"]
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_any_exception_removes_report_files(self, tmp_path, monkeypatch,
+                                                runs):
+        def write_summary(*args):
+            raise RuntimeError("summary writer failed")
+
+        monkeypatch.setattr(reports, "write_summary", write_summary)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out,
+                                    runs=runs)
+        assert report_files(out) == ["keep.txt"]
+        with pytest.raises(RuntimeError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
+                                    tmp_path / "new", runs=runs)
+        assert not (tmp_path / "new").exists()
+
 
 # Strings that csv.writer quotes (comma, quote, CR, LF) or passes through
 # (space, tab, non-ASCII), mixed with any other encodable character.

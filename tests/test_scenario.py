@@ -593,6 +593,11 @@ COMPILE_MESSAGES = {
         _aggregated(["outside clinic", "neurosurgery"], CLINIC),
         [("aggregation-partition",
           "buffer column 0 belongs to aggregates 0 and 1")]),
+    # reported in aggregate order, not in the order of a set
+    "aggregation-buffer-twice-later": (
+        _aggregated(["outside clinic"], [*CLINIC, "outside clinic"]),
+        [("aggregation-partition",
+          "buffer column 5 belongs to aggregates 0 and 1")]),
     "aggregation-buffer-in-none": (
         _aggregated(["outside clinic"], CLINIC[1:]),
         [("aggregation-partition",
