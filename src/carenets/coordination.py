@@ -25,8 +25,9 @@ action, health completion) from one queue, ordered by time and then by
 and the :mod:`health` primitives. The matrix algebra builds and verifies
 the nets; the kernel runs on index tables read off the same matrices
 once per call: the transformation process of each transition
-(:func:`process_table`) and, per individual, the candidate events of each
-process (:func:`candidate_table`), looked up by :func:`induced_event`.
+(:func:`process_table`) and, per distinct feasibility matrix, the
+candidate events of each process (:func:`candidate_table`), looked up by
+:func:`induced_event`.
 :func:`induce_health_firing` and :func:`system_firing` keep the matrix
 form as test oracles.
 """
@@ -189,6 +190,11 @@ class HealthAction:
 
 @dataclass(frozen=True)
 class Individual:
+    """An individual's health net, initial marking and feasibility matrix.
+    The marking is the individual's own; the loader gives individuals
+    whose nets have the same content one shared, read-only net and
+    feasibility matrix."""
+
     id: str
     net: HealthNet
     initial: HealthMarking
@@ -287,25 +293,45 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         heapq.heappush(heap, (float(time), RANK[type(event)], seq, event))
         seq += 1
 
+    def rejected(action, message: str) -> ValidationError:
+        kind = "delivery" if isinstance(action, DeliveryAction) else "health"
+        return ValidationError(f"{kind} action at t={action.time} for "
+                               f"individual {action.individual!r}: {message}")
+
     for action in (*delivery_actions, *health_actions):
         if action.individual not in by_id:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
+        n_states = by_id[action.individual].net.n_states
+        if action.outcome is not None and not 0 <= action.outcome < n_states:
+            raise rejected(action, f"state {action.outcome} is out of range "
+                                   f"for a net of {n_states} states")
         push(action.time, action)
+    for action in delivery_actions:
+        if not 0 <= action.psi < net.n_transitions:
+            raise rejected(action, f"transition {action.psi} is out of range "
+                                   f"for a net of {net.n_transitions} "
+                                   f"transitions")
     for action in health_actions:
         events = by_id[action.individual].net.events
         for ev in action.events:
+            if not 0 <= ev < len(events):
+                raise rejected(action, f"event {ev} is out of range for a "
+                                       f"net of {len(events)} events")
             if not events[ev].is_stochastic:
-                raise ValidationError(
-                    f"health action at t={action.time} for individual "
-                    f"{action.individual!r}: induced event "
-                    f"{events[ev].name!r} cannot be scheduled directly")
+                raise rejected(action, f"induced event {events[ev].name!r} "
+                                       f"cannot be scheduled directly")
     # Index tables read off the matrices once per call: a start looks up
     # its process and candidate events instead of multiplying the
     # selector by an engagement vector and scanning feasibility columns.
+    # Individuals with the same condition share one net and feasibility
+    # matrix, so each table is built once per distinct object.
     process_of = process_table(selector)
-    candidates = {ind.id: candidate_table(ind.feasibility)
-                  for ind in individuals}
+    tables: dict[int, list[tuple[int, ...]]] = {}
+    for ind in individuals:
+        if id(ind.feasibility) not in tables:
+            tables[id(ind.feasibility)] = candidate_table(ind.feasibility)
+    candidates = {ind.id: tables[id(ind.feasibility)] for ind in individuals}
 
     rng = np.random.default_rng(seed) if mode == "sample" else None
     markings = {ind.id: ind.initial for ind in individuals}

@@ -591,9 +591,19 @@ def _per_dof(model: StructuralModel, table: dict[str, float], what: str,
     return out
 
 
+def _net_tables(ind: dict, assumed: dict) -> tuple[dict, dict, dict]:
+    """The individual's entries in ``assumed_values``: state values, event
+    durations and deferred branch weights."""
+    return tuple(assumed.get(section, {}).get(ind["id"], {})
+                 for section in ("health_state_values",
+                                 "health_event_durations",
+                                 "health_event_weights"))
+
+
 def _build_health_net(ind: dict, assumed: dict,
                       col: _Collector) -> HealthNet | None:
     where = f"individual {ind['id']!r}"
+    declared, durations, weights = _net_tables(ind, assumed)
     states = ind["health_states"]
     # HealthNet rejects repeated names too; these messages say whose
     ok = len(set(states)) == len(states)
@@ -606,7 +616,6 @@ def _build_health_net(ind: dict, assumed: dict,
         ok = False
 
     values = np.zeros(len(states))
-    declared = assumed.get("health_state_values", {}).get(ind["id"], {})
     for i, state in enumerate(states):
         if state not in declared:
             col.add("health-values",
@@ -618,8 +627,6 @@ def _build_health_net(ind: dict, assumed: dict,
             col.add("health-values",
                     f"{where}: value declared for unknown state {state!r}")
 
-    durations = assumed.get("health_event_durations", {}).get(ind["id"], {})
-    weights = assumed.get("health_event_weights", {}).get(ind["id"], {})
     m_minus = np.zeros((len(states), len(specs)))
     m_plus = np.zeros((len(states), len(specs)))
     events = []
@@ -716,18 +723,34 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     # id -> (health net, event name -> event index), or None for an
     # individual whose health net failed to build
     nets: dict[str, tuple[HealthNet, dict[str, int]] | None] = {}
+    # Individuals whose nets have the same content share one net, event
+    # index and feasibility matrix: tuple(health_states) -> [(content,
+    # (net, event index, feasibility))], the content compared with ==.
+    # Only nets that built with no failure are kept, so a failing net is
+    # built, and reported, once per individual.
+    shared: dict[tuple, list[tuple[tuple, tuple]]] = {}
     for ind in data.get("individuals", []):
         if ind["id"] in nets:
             col.add("health-states", f"duplicate individual id {ind['id']!r}")
             continue
-        hnet = _build_health_net(ind, assumed, col)
-        if hnet is None:
-            # the checks that need the net do not run for this individual
-            nets[ind["id"]] = None
-            col.skip(("initial-mass", "feasibility-tags",
-                      "schedule-references"))
-            continue
-        nets[ind["id"]] = hnet, {ev.name: ev.index for ev in hnet.events}
+        content = (ind.get("health_events", []), *_net_tables(ind, assumed))
+        bucket = shared.setdefault(tuple(ind["health_states"]), [])
+        built = next((entry for key, entry in bucket if key == content), None)
+        if built is None:
+            failures = len(col.failures)
+            hnet = _build_health_net(ind, assumed, col)
+            if hnet is None:
+                # the checks that need the net do not run for this
+                # individual
+                nets[ind["id"]] = None
+                col.skip(("initial-mass", "feasibility-tags",
+                          "schedule-references"))
+                continue
+            clean = len(col.failures) == failures
+            event_index = {ev.name: ev.index for ev in hnet.events}
+        else:
+            hnet, event_index, feas = built
+        nets[ind["id"]] = hnet, event_index
         masses = (ind["initial_marking"] if "initial_marking" in ind
                   else {ind["initial_state"]: 1.0})
         try:
@@ -737,11 +760,17 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
             # a mass on an unknown state fails the mass check too
             col.add("initial-mass", str(exc))
             marking = HealthMarking.point(hnet, 0)
-        try:
-            feas = coordination.build_feasibility(hnet, transform_names)
-        except ValidationError as exc:
-            col.grab(exc)
-            continue
+        if built is None:
+            try:
+                feas = coordination.build_feasibility(hnet, transform_names)
+            except ValidationError as exc:
+                col.grab(exc)
+                continue
+            if clean:
+                # a write through one individual would reach its clones
+                for array in (hnet.m_minus, hnet.m_plus, hnet.values, feas):
+                    array.flags.writeable = False
+                bucket.append((content, (hnet, event_index, feas)))
         individuals.append(Individual(ind["id"], hnet, marking, feas))
 
     delivery_actions = []

@@ -7,7 +7,9 @@ list and writes each transition's origin and destination row directly.
 
 from __future__ import annotations
 
+import copy
 import csv
+import json
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -428,3 +430,37 @@ def oracle_write_outcomes_csv(path: Path, result: RunResult) -> None:
         writer.writerow(["time", "individual_id", "outcome"])
         for time, individual, outcome in result.outcome_series:
             writer.writerow([_fmt(time), individual, _fmt(outcome)])
+
+
+# Schedule shifts of the clones, in days: multiples of 1/8, so every
+# shifted time stays exact, with a tie between the first three clones.
+CLONE_OFFSETS = (0.0, 0.0, 0.5, 1.0, 1.5)
+
+
+def chronic_clones(offsets):
+    """The chronic fixture with its patient cloned once per offset: each
+    clone has its own id, value tables and shifted copy of the schedule,
+    merged in stable time order. Tokens and capacities are scaled by the
+    number of clones, so the clones never contend."""
+    doc = json.loads(CHRONIC.read_text(encoding="utf-8"))
+    n = len(offsets)
+    (patient,) = doc.pop("individuals")
+    assumed = doc["assumed_values"]
+    sections = ("health_state_values", "health_event_weights",
+                "health_event_durations")
+    tables = {section: assumed[section].pop("patient")
+              for section in sections}
+    doc["individuals"], schedule = [], []
+    for k, offset in enumerate(offsets):
+        clone_id = f"patient-{k}"
+        doc["individuals"].append(dict(copy.deepcopy(patient), id=clone_id))
+        for section in sections:
+            assumed[section][clone_id] = copy.deepcopy(tables[section])
+        schedule += [dict(entry, individual=clone_id,
+                          time=entry["time"] + offset)
+                     for entry in doc["schedule"]]
+    doc["schedule"] = sorted(schedule, key=lambda entry: entry["time"])
+    doc["initial_tokens"] = {place: count * n for place, count
+                             in doc["initial_tokens"].items()}
+    doc["transition_capacities"] = {key: n for key in assumed["durations"]}
+    return doc

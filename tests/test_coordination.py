@@ -536,6 +536,44 @@ class TestCosimulate:
                             "induced event 'therapy for x' cannot be "
                             "scheduled directly")
 
+    @pytest.mark.parametrize("event", [5, -1])
+    def test_event_index_out_of_range_rejected(self, monkeypatch, event):
+        _, net, individual, selector, initial, _ = cosim_setup()
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], selector, [],
+            [HealthAction(1.0, "p1", (0, event))])
+        assert str(err) == (f"health action at t=1.0 for individual 'p1': "
+                            f"event {event} is out of range for a net of 3 "
+                            f"events")
+
+    @pytest.mark.parametrize("delivery, outcome", [(True, 4), (False, -1)])
+    def test_outcome_out_of_range_rejected(self, monkeypatch, delivery,
+                                           outcome):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        if delivery:
+            actions = [DeliveryAction(0.5, dofs["therapy"], "p1", outcome)], []
+        else:
+            actions = [], [HealthAction(0.5, "p1", (0,), outcome)]
+        err = _rejected_before_any_event(monkeypatch, net, initial,
+                                         [individual], selector, *actions)
+        kind = "delivery" if delivery else "health"
+        assert str(err) == (f"{kind} action at t=0.5 for individual 'p1': "
+                            f"state {outcome} is out of range for a net of 4 "
+                            f"states")
+
+    @pytest.mark.parametrize("past_end", [True, False])
+    def test_transition_index_out_of_range_rejected(self, monkeypatch,
+                                                    past_end):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        psi = net.n_transitions if past_end else -1
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], selector,
+            [DeliveryAction(0.5, dofs["check"], "p1"),
+             DeliveryAction(1.0, psi, "p1")], [])
+        assert str(err) == (f"delivery action at t=1.0 for individual "
+                            f"'p1': transition {psi} is out of range for a "
+                            f"net of {net.n_transitions} transitions")
+
 
 def _rejected_before_any_event(monkeypatch, *args) -> ValidationError:
     """The ValidationError ``cosimulate(*args)`` raises, checking that no

@@ -8,7 +8,6 @@ writers that alters any byte of ``trace.csv``, ``delivery.csv``,
 digest only together with an intended change of the outputs.
 """
 
-import copy
 import hashlib
 import json
 
@@ -16,7 +15,7 @@ import pytest
 
 from carenets.cli import main
 
-from helpers import FIXTURES
+from helpers import CLONE_OFFSETS, FIXTURES, chronic_clones
 
 MODES = {
     "replay": ["--mode", "replay"],
@@ -122,10 +121,6 @@ def report_digests(out):
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-# Schedule shifts of the clones, in days: multiples of 1/8, so every
-# shifted time stays exact, with a tie between the first three clones.
-CLONE_OFFSETS = (0.0, 0.0, 0.5, 1.0, 1.5)
-
 COHORT_DIGESTS = {
     "delivery.csv":
         "eb350eea440a4d634ae375d369a741a842112dc13369c2180060abf3d3bd6261",
@@ -136,36 +131,6 @@ COHORT_DIGESTS = {
     "trace.csv":
         "78d56bc87bf37fb2d539c9dc017645b4edbfa6c8095643bc78fa49908c38e9a3",
 }
-
-
-def chronic_clones(offsets):
-    """The chronic fixture with its patient cloned once per offset: each
-    clone has its own id, value tables and shifted copy of the schedule,
-    merged in stable time order. Tokens and capacities are scaled by the
-    number of clones, so the clones never contend."""
-    doc = json.loads((FIXTURES / "chronic_neuro_oncology.json")
-                     .read_text(encoding="utf-8"))
-    n = len(offsets)
-    (patient,) = doc.pop("individuals")
-    assumed = doc["assumed_values"]
-    sections = ("health_state_values", "health_event_weights",
-                "health_event_durations")
-    tables = {section: assumed[section].pop("patient")
-              for section in sections}
-    doc["individuals"], schedule = [], []
-    for k, offset in enumerate(offsets):
-        clone_id = f"patient-{k}"
-        doc["individuals"].append(dict(copy.deepcopy(patient), id=clone_id))
-        for section in sections:
-            assumed[section][clone_id] = copy.deepcopy(tables[section])
-        schedule += [dict(entry, individual=clone_id,
-                          time=entry["time"] + offset)
-                     for entry in doc["schedule"]]
-    doc["schedule"] = sorted(schedule, key=lambda entry: entry["time"])
-    doc["initial_tokens"] = {place: count * n for place, count
-                             in doc["initial_tokens"].items()}
-    doc["transition_capacities"] = {key: n for key in assumed["durations"]}
-    return doc
 
 
 def test_cohort_report_files_match_golden_digests(tmp_path):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carenets import scenario
+from carenets import coordination, scenario
 from carenets.cli import main
+from carenets.coordination import candidate_table
 from carenets.errors import ScenarioError
 from carenets.scenario import (CHECKS, compile_scenario, load_scenario,
                                load_scenario_data, validate_file)
 
-from helpers import ACUTE, CHRONIC
+from helpers import ACUTE, CHRONIC, CLONE_OFFSETS, chronic_clones
 
 
 def acute_data():
@@ -871,3 +872,102 @@ class TestAggregation:
             ("aggregation-partition",
              "aggregation cannot be combined with chronic_abstraction: "
              "true")]
+
+
+def _clone_tables(data, k):
+    """Clone ``k``'s state values, event durations and branch weights."""
+    assumed = data["assumed_values"]
+    return (assumed["health_state_values"][f"patient-{k}"],
+            assumed["health_event_durations"][f"patient-{k}"],
+            assumed["health_event_weights"][f"patient-{k}"])
+
+
+def _reweight(data):
+    weights = _clone_tables(data, 2)[2]
+    weights["Treat residual disease after gross-total resection"] = {
+        "complete response": 0.4, "partial response": 0.2,
+        "stable disease": 0.2, "progressive disease": 0.2}
+
+
+def _revalue(data):
+    _clone_tables(data, 2)[0]["healthy"] = 0.95
+
+
+def _reschedule(data):
+    _clone_tables(data, 2)[1]["Resect tumor"] = 0.25
+
+
+def _realize_elsewhere(data):
+    resect = data["individuals"][2]["health_events"][2]
+    resect["realized_by"] = ["Perform radiation & chemotherapy treatment"]
+
+
+def _reorder(data):
+    data["individuals"][2]["health_states"].reverse()
+
+
+class TestSharedNets:
+    """Individuals whose health nets have the same content share one
+    net and feasibility matrix; each keeps its own marking."""
+
+    def test_clones_share_one_net(self):
+        compiled = compile_scenario(load_scenario_data(
+            chronic_clones(CLONE_OFFSETS)))
+        inds = compiled.individuals
+        assert len(inds) == len(CLONE_OFFSETS)
+        assert len({id(ind.net) for ind in inds}) == 1
+        assert len({id(ind.feasibility) for ind in inds}) == 1
+        assert len({id(ind.initial) for ind in inds}) == len(inds)
+
+    @pytest.mark.parametrize("mutate", [_reweight, _revalue, _reschedule,
+                                        _realize_elsewhere, _reorder])
+    def test_one_difference_gets_its_own_net(self, mutate):
+        data = chronic_clones(CLONE_OFFSETS)
+        mutate(data)
+        inds = compile_scenario(load_scenario_data(data)).individuals
+        others = [ind for k, ind in enumerate(inds) if k != 2]
+        assert len({id(ind.net) for ind in others}) == 1
+        assert inds[2].net is not others[0].net
+        assert inds[2].feasibility is not others[0].feasibility
+
+    @pytest.mark.parametrize("defect, check, message", [
+        (lambda tables: tables[0].pop("healthy"), "health-values",
+         "no value declared for state 'healthy'"),
+        (lambda tables: tables[0].update(healthy=2.0), "health-values",
+         "state values must lie in [0, 1]"),
+        (lambda tables: tables[1].update({"Resect tumor": -1.0}),
+         "durations", "event 'Resect tumor' has negative duration"),
+    ], ids=["missing value", "value out of range", "negative duration"])
+    def test_each_clone_reports_a_shared_defect(self, defect, check,
+                                                message):
+        data = chronic_clones(CLONE_OFFSETS)
+        for k in range(len(CLONE_OFFSETS)):
+            defect(_clone_tables(data, k))
+        assert failures_of(data) == [
+            (check, f"individual 'patient-{k}': {message}")
+            for k in range(len(CLONE_OFFSETS))]
+
+    def test_shared_arrays_are_read_only(self):
+        (ind, *_) = compile_scenario(load_scenario_data(
+            chronic_clones(CLONE_OFFSETS))).individuals
+        for array in (ind.net.m_minus, ind.net.m_plus, ind.net.values,
+                      ind.feasibility):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("mutate, tables", [(None, 1), (_revalue, 2)])
+    def test_candidate_table_once_per_matrix(self, monkeypatch, mutate,
+                                             tables):
+        data = chronic_clones(CLONE_OFFSETS)
+        if mutate:
+            mutate(data)
+        compiled = compile_scenario(load_scenario_data(data))
+        calls = []
+
+        def counted(feasibility):
+            calls.append(feasibility)
+            return candidate_table(feasibility)
+
+        monkeypatch.setattr(coordination, "candidate_table", counted)
+        compiled.run(mode="replay")
+        assert len(calls) == tables
