@@ -11,7 +11,7 @@ from .coordination import (DeliveryAction, HealthAction, Individual,
                            RunResult, cosimulate, induce_health_firing,
                            system_firing)
 from .delivery import (DeliveryNet, Marking, build_incidence_in,
-                       build_incidence_out, step)
+                       build_incidence_out, state_equation, step)
 from .errors import (AmbiguousHealthEventError, CapacityError,
                      CareNetsError, InfeasibleCareActionError,
                      NotEnabledError, ScenarioError, SimulationError,

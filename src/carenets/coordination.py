@@ -23,13 +23,15 @@ four kinds of typed event (delivery start and completion, scheduled health
 action, health completion) from one queue, ordered by time and then by
 :data:`RANK`, and changes markings only through :func:`delivery.step`
 and the :mod:`health` primitives. The matrix algebra builds and verifies
-the nets; the kernel runs on index tables read off the same matrices
-once per call: the transformation process of each transition
+the nets; the kernel runs on index tables read off the same matrices.
+A delivery firing moves one token through the net's ``origin`` and
+``destination`` tables (:func:`delivery.step`). Once per call the kernel
+reads the transformation process of each transition
 (:func:`process_table`) and, per distinct feasibility matrix, the
 candidate events of each process (:func:`candidate_table`), looked up by
 :func:`induced_event`.
-:func:`induce_health_firing` and :func:`system_firing` keep the matrix
-form as test oracles.
+:func:`delivery.state_equation`, :func:`induce_health_firing` and
+:func:`system_firing` keep the matrix form as test oracles.
 """
 
 from __future__ import annotations
@@ -349,10 +351,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     labels = [t.label for t in net.transitions]
     durations = net.durations.tolist()
     costs = net.costs.tolist()
-    pulses = np.eye(net.n_transitions, dtype=int)
-    pulses.flags.writeable = False
-    zero = np.zeros(net.n_transitions, dtype=int)
-    zero.flags.writeable = False
+    capacities = net.capacities.tolist()
     trace = result.trace
     trajectory = result.delivery_trajectory
 
@@ -381,12 +380,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         try:
             match event:
                 case DeliveryAction(psi=psi):
-                    marking = step(net, marking, pulses[psi], zero)
-                    if marking.busy_tokens[psi] > net.capacities[psi]:
+                    marking = step(net, marking, psi, "start")
+                    if marking.busy_tokens[psi] > capacities[psi]:
                         raise CapacityError(
                             f"transition {psi} ({labels[psi]}) exceeds its "
-                            f"concurrent capacity of "
-                            f"{int(net.capacities[psi])}")
+                            f"concurrent capacity of {capacities[psi]}")
                     trace.append(TraceRow(time, "delivery", labels[psi], psi,
                                           "start"))
                     trajectory.append(TrajectoryPoint(
@@ -403,7 +401,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                         start_health_event(time, ind_id, ev, event.outcome)
 
                 case DeliveryCompletion(psi=psi):
-                    marking = step(net, marking, zero, pulses[psi])
+                    marking = step(net, marking, psi, "complete")
                     total_cost += costs[psi]
                     trace.append(TraceRow(time, "delivery", labels[psi], psi,
                                           "complete"))

@@ -15,7 +15,7 @@ transitions is invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,6 +67,13 @@ class Transition:
 
 @dataclass(frozen=True)
 class DeliveryNet:
+    """Places, transitions and the incidence matrices between them.
+
+    ``origin`` and ``destination`` are read off ``m_minus`` and ``m_plus``
+    at construction (so :func:`dataclasses.replace` rebuilds them): the
+    place each transition takes its token from and delivers it to.
+    """
+
     place_names: tuple[str, ...]
     transitions: tuple[Transition, ...]
     m_minus: np.ndarray
@@ -74,6 +81,8 @@ class DeliveryNet:
     durations: np.ndarray
     costs: np.ndarray
     capacities: np.ndarray
+    origin: tuple[int, ...] = field(init=False, repr=False)
+    destination: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         n_places, n_trans = len(self.place_names), len(self.transitions)
@@ -81,6 +90,12 @@ class DeliveryNet:
             if mat.shape != (n_places, n_trans):
                 raise ValidationError(f"{name} has shape {mat.shape}, "
                                       f"expected ({n_places}, {n_trans})")
+            binary = np.isin(mat, (0, 1)).all(axis=0)
+            if not binary.all():
+                bad = int(np.nonzero(~binary)[0][0])
+                raise ValidationError(
+                    f"column {bad} of {name} holds {mat[:, bad].tolist()}, "
+                    f"expected only 0 and 1", check="incidence-column-sums")
             sums = mat.sum(axis=0)
             if n_trans and not np.array_equal(sums, np.ones(n_trans, int)):
                 bad = int(np.nonzero(sums != 1)[0][0])
@@ -95,6 +110,12 @@ class DeliveryNet:
             if np.any(vec < 0):
                 raise ValidationError(f"{name} must be nonnegative",
                                       check=name)
+        # every column is one-hot, so its argmax is its one place
+        for name, mat in (("origin", self.m_minus),
+                          ("destination", self.m_plus)):
+            object.__setattr__(self, name,
+                               tuple(mat.argmax(axis=0).tolist())
+                               if n_trans else ())
 
     @classmethod
     def from_model(cls, model: StructuralModel,
@@ -130,8 +151,7 @@ class DeliveryNet:
         return len(self.transitions)
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     """Token counts at places plus tokens held by in-progress transitions."""
 
     place_tokens: np.ndarray
@@ -154,9 +174,51 @@ class Marking:
         return int(self.place_tokens.sum() + self.busy_tokens.sum())
 
 
-def step(net: DeliveryNet, marking: Marking,
-         u_minus: np.ndarray, u_plus: np.ndarray) -> Marking:
-    """Advance the marking by one firing step.
+def step(net: DeliveryNet, marking: Marking, psi: int,
+         kind: str) -> Marking:
+    """Fire transition ``psi`` once: a ``"start"`` moves a token from its
+    origin place into the transition, a ``"complete"`` moves the token the
+    transition holds to its destination place.
+
+    Every transition has one origin and one destination place, so a firing
+    moves one token and equals :func:`state_equation` with a one-hot
+    pulse, which the tests check. A start from an empty place, or a
+    completion of a transition that holds no token, is rejected before any
+    state changes.
+    """
+    if not 0 <= psi < len(net.transitions):
+        raise ValidationError(f"transition {psi} is out of range for a net "
+                              f"of {len(net.transitions)} transitions")
+    place_tokens = marking.place_tokens.copy()
+    busy_tokens = marking.busy_tokens.copy()
+    if kind == "start":
+        place = net.origin[psi]
+        if place_tokens[place] < 1:
+            raise NotEnabledError(
+                f"transition {psi} ({net.transitions[psi].label}) not "
+                f"enabled: place {net.place_names[place]!r} has no token "
+                f"to consume")
+        place_tokens[place] -= 1
+        busy_tokens[psi] += 1
+    elif kind == "complete":
+        if busy_tokens[psi] < 1:
+            raise NotEnabledError(
+                f"completion without start: transition {psi} "
+                f"({net.transitions[psi].label}) holds no token")
+        busy_tokens[psi] -= 1
+        place_tokens[net.destination[psi]] += 1
+    else:
+        raise ValidationError(f"unknown firing kind {kind!r}; expected "
+                              f"'start' or 'complete'")
+    return Marking(place_tokens, busy_tokens)
+
+
+def state_equation(net: DeliveryNet, marking: Marking,
+                   u_minus: np.ndarray, u_plus: np.ndarray) -> Marking:
+    """Advance the marking by the state equation
+    M' = M − M⁻u⁻ + M⁺u⁺ for start vector ``u_minus`` and completion
+    vector ``u_plus``: the matrix oracle of :func:`step`, which the
+    kernel calls instead.
 
     Starts consume tokens from the origin places of the started
     transitions; completions move tokens from transitions to their

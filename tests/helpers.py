@@ -186,16 +186,11 @@ def random_feasible_schedule(rng: np.random.Generator, net: DeliveryNet,
 
 def step_replay(net: DeliveryNet, records: list[Firing],
                 initial: Marking) -> list[Marking]:
-    """Markings after applying each start/complete record with ``step``,
-    preceded by ``initial``."""
+    """Markings after applying each start/complete record with the
+    kernel's ``step``, preceded by ``initial``."""
     markings = [initial]
     for record in records:
-        pulse = np.zeros(net.n_transitions, dtype=int)
-        pulse[record.psi] = 1
-        if record.kind == "start":
-            markings.append(step(net, markings[-1], pulse, 0 * pulse))
-        else:
-            markings.append(step(net, markings[-1], 0 * pulse, pulse))
+        markings.append(step(net, markings[-1], record.psi, record.kind))
     return markings
 
 

@@ -121,17 +121,13 @@ def test_criterion_06_degenerate_equivalence():
         hmarking = HealthMarking(tokens.astype(float),
                                  np.zeros(net.n_transitions))
         for record in random_feasible_schedule(rng, net, marking):
-            pulse = np.zeros(net.n_transitions, dtype=int)
-            pulse[record.psi] = 1
-            zero = np.zeros(net.n_transitions, dtype=int)
-            if record.kind == "start":
-                marking = step(net, marking, pulse, zero)
-                hmarking = fuzzy_step(fuzzy, hmarking, pulse.astype(float),
-                                      zero.astype(float))
-            else:
-                marking = step(net, marking, zero, pulse)
-                hmarking = fuzzy_step(fuzzy, hmarking, zero.astype(float),
-                                      pulse.astype(float))
+            pulse = np.zeros(net.n_transitions)
+            pulse[record.psi] = 1.0
+            zero = np.zeros(net.n_transitions)
+            marking = step(net, marking, record.psi, record.kind)
+            hmarking = fuzzy_step(fuzzy, hmarking,
+                                  *((pulse, zero) if record.kind == "start"
+                                    else (zero, pulse)))
             assert np.array_equal(marking.place_tokens.astype(float),
                                   hmarking.state_mass)
             assert np.array_equal(marking.busy_tokens.astype(float),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from carenets import coordination, health
+from carenets import coordination, delivery, health
 from carenets.cli import main
 from carenets.coordination import (DeliveryAction, HealthAction, Individual,
                                    build_feasibility,
@@ -291,6 +291,7 @@ def test_kernel_never_falls_back_to_matrix_oracles(monkeypatch, request,
     monkeypatch.setattr(coordination, "induce_health_firing", oracle)
     monkeypatch.setattr(coordination, "system_firing", oracle)
     monkeypatch.setattr(health, "fuzzy_step", oracle)
+    monkeypatch.setattr(delivery, "state_equation", oracle)
     calls = []
     step = coordination.step
 

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carenets.delivery import (DeliveryNet, Marking, build_incidence_in,
-                               build_incidence_out, step)
-from carenets.errors import NotEnabledError, SimulationError
+                               build_incidence_out, state_equation, step)
+from carenets.errors import NotEnabledError, SimulationError, ValidationError
 from carenets.structure import (Aggregation, Process, Resource,
                                 ResourceClass, StructuralModel)
 
@@ -103,6 +105,27 @@ class TestAggregatedIncidence:
         assert chronic.net.m_plus[outside, exit_] == 1
 
 
+class TestNetTables:
+    def test_replace_rebuilds_tables(self):
+        _, net = two_place_net()
+        swapped = dataclasses.replace(net, m_minus=net.m_plus,
+                                      m_plus=net.m_minus)
+        assert swapped.origin == net.destination
+        assert swapped.destination == net.origin
+
+    @pytest.mark.parametrize("column", [[2, -1], [-1, 2], [1, 0.5]])
+    def test_non_binary_column_rejected(self, column):
+        # [2, -1] sums to 1, but a start from place 0 would create a
+        # token at place 1 out of nothing
+        _, net = two_place_net()
+        m_minus = net.m_minus.astype(float)
+        m_minus[:, 0] = column
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(net, m_minus=m_minus)
+        assert err.value.check == "incidence-column-sums"
+        assert str(err.value).startswith("column 0 of m_minus holds")
+
+
 def two_place_net():
     resources = [Resource(0, "clinic", F),
                  Resource(1, "outside clinic", M),
@@ -121,7 +144,7 @@ class TestStep:
         _, net = two_place_net()
         marking = Marking.initial(net, [0, 1])
         zero = np.zeros(3, dtype=int)
-        after = step(net, marking, zero, zero)
+        after = state_equation(net, marking, zero, zero)
         assert np.array_equal(after.place_tokens, marking.place_tokens)
         assert np.array_equal(after.busy_tokens, marking.busy_tokens)
 
@@ -131,10 +154,11 @@ class TestStep:
         marking = Marking.initial(net, [0, 1])
         pulse = np.zeros(3, dtype=int)
         pulse[enter] = 1
-        started = step(net, marking, pulse, np.zeros(3, dtype=int))
+        zero = np.zeros(3, dtype=int)
+        started = state_equation(net, marking, pulse, zero)
         assert started.place_tokens.tolist() == [0, 0]
         assert started.busy_tokens[enter] == 1
-        finished = step(net, started, np.zeros(3, dtype=int), pulse)
+        finished = state_equation(net, started, zero, pulse)
         assert finished.place_tokens.tolist() == [1, 0]
         assert finished.busy_tokens[enter] == 0
 
@@ -145,7 +169,7 @@ class TestStep:
         pulse = np.zeros(3, dtype=int)
         pulse[enter] = 1
         with pytest.raises(NotEnabledError) as err:
-            step(net, marking, pulse, np.zeros(3, dtype=int))
+            state_equation(net, marking, pulse, np.zeros(3, dtype=int))
         assert "outside clinic" in str(err.value)
 
     def test_completion_without_start_rejected(self):
@@ -154,8 +178,87 @@ class TestStep:
         pulse = np.zeros(3, dtype=int)
         pulse[0] = 1
         with pytest.raises(NotEnabledError) as err:
-            step(net, marking, np.zeros(3, dtype=int), pulse)
+            state_equation(net, marking, np.zeros(3, dtype=int), pulse)
         assert "completion without start" in str(err.value)
+
+    def test_index_firing_moves_one_token(self):
+        model, net = two_place_net()
+        enter = model.dof_list.index((1, 2))
+        assert (net.origin[enter], net.destination[enter]) == (1, 0)
+        marking = Marking.initial(net, [0, 1])
+        started = step(net, marking, enter, "start")
+        assert started.place_tokens.tolist() == [0, 0]
+        assert started.busy_tokens.tolist() == [int(psi == enter)
+                                                for psi in range(3)]
+        finished = step(net, started, enter, "complete")
+        assert finished.place_tokens.tolist() == [1, 0]
+        assert finished.busy_tokens.sum() == 0
+        # the input markings are left as they were
+        assert marking.place_tokens.tolist() == [0, 1]
+        assert started.busy_tokens[enter] == 1
+
+    def test_index_firing_messages(self):
+        model, net = two_place_net()
+        enter = model.dof_list.index((1, 2))
+        label = net.transitions[enter].label
+        with pytest.raises(NotEnabledError) as err:
+            step(net, Marking.initial(net, [1, 0]), enter, "start")
+        assert str(err.value) == (
+            f"transition {enter} ({label}) not enabled: place "
+            f"'outside clinic' has no token to consume")
+        with pytest.raises(NotEnabledError) as err:
+            step(net, Marking.initial(net, [1, 1]), enter, "complete")
+        assert str(err.value) == (
+            f"completion without start: transition {enter} ({label}) "
+            f"holds no token")
+
+    @pytest.mark.parametrize("psi", [-1, 3])
+    def test_out_of_range_transition_rejected(self, psi):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            step(net, Marking.initial(net, [1, 1]), psi, "start")
+        assert str(err.value) == (f"transition {psi} is out of range for a "
+                                  f"net of 3 transitions")
+
+    def test_unknown_kind_rejected(self):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            step(net, Marking.initial(net, [1, 1]), 0, "stop")
+        assert "unknown firing kind 'stop'" in str(err.value)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_index_step_equals_state_equation(seed, data):
+    """One firing by index gives the marking, or the NotEnabledError
+    message, of the state equation with the matching one-hot pulse."""
+    net = random_delivery_net(np.random.default_rng(seed))
+    counts = st.integers(0, 2)
+
+    def tokens(n):
+        return np.array(data.draw(st.lists(counts, min_size=n, max_size=n)),
+                        dtype=int)
+
+    marking = Marking(tokens(net.n_places), tokens(net.n_transitions))
+    before = [array.copy() for array in marking]
+    psi = data.draw(st.integers(0, net.n_transitions - 1))
+    kind = data.draw(st.sampled_from(["start", "complete"]))
+    pulse = np.zeros(net.n_transitions, dtype=int)
+    pulse[psi] = 1
+    pulses = (pulse, 0 * pulse) if kind == "start" else (0 * pulse, pulse)
+    try:
+        expected = state_equation(net, marking, *pulses)
+    except NotEnabledError as exc:
+        with pytest.raises(NotEnabledError) as err:
+            step(net, marking, psi, kind)
+        assert str(err.value) == str(exc)
+    else:
+        fired = step(net, marking, psi, kind)
+        for got, want in zip(fired, expected):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    for array, copy in zip(marking, before):
+        assert np.array_equal(array, copy)
 
 
 class TestSchedule:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carenets.coordination import HealthAction
-from carenets.delivery import Marking, step
+from carenets.delivery import Marking, state_equation
 from carenets.errors import NotEnabledError, SimulationError, ValidationError
 from carenets.health import (HealthEvent, HealthEventKind, HealthMarking,
                              HealthNet, apply_completion, check_unit_mass,
@@ -105,12 +105,12 @@ class TestFuzzyStep:
                 pulse = np.zeros(net.n_transitions, dtype=int)
                 pulse[record.psi] = 1
                 if record.kind == "start":
-                    marking = step(net, marking, pulse, 0 * pulse)
+                    marking = state_equation(net, marking, pulse, 0 * pulse)
                     hmarking = fuzzy_step(fuzzy, hmarking,
                                           pulse.astype(float),
                                           np.zeros(net.n_transitions))
                 else:
-                    marking = step(net, marking, 0 * pulse, pulse)
+                    marking = state_equation(net, marking, 0 * pulse, pulse)
                     hmarking = fuzzy_step(fuzzy, hmarking,
                                           np.zeros(net.n_transitions),
                                           pulse.astype(float))
