@@ -18,12 +18,16 @@ below accept only selector columns and feasibility rows with at most one
 1, so a start of psi engages the one process p with S·e_psi = e_p and
 fires one of p's candidates, whose row of F is e_p.
 
-:func:`cosimulate` is the package's one discrete-event kernel. It pops
+:func:`cosimulate` is the package's one discrete-event kernel. It runs
 four kinds of typed event (delivery start and completion, scheduled health
-action, health completion) from one queue, ordered by time and then by
-:data:`RANK`, and changes markings only through :func:`delivery.step`
-and the :mod:`health` primitives. The matrix algebra builds and verifies
-the nets; the kernel runs on index tables read off the same matrices.
+action, health completion) in the order of time, then :data:`RANK`, then
+queue order, and changes markings only through :func:`delivery.step` and
+the :mod:`health` primitives. Its queue is a schedule sorted once, merged
+with a heap of in-flight completions: the scheduled actions (ranks 2 and
+3) are sorted by (time, rank, position) before the loop, and the heap
+holds only the completions queued since. The matrix algebra builds and
+verifies the nets; the kernel runs on index tables read off the same
+matrices.
 A delivery firing moves one token through the net's ``origin`` and
 ``destination`` tables (:func:`delivery.step`). Once per call the kernel
 reads the transformation process of each transition
@@ -36,9 +40,10 @@ candidate events of each process (:func:`candidate_table`), looked up by
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -139,10 +144,12 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
 
 def _one_hot(matrix: np.ndarray, axis: int, what: str,
              check: str = "structure") -> np.ndarray:
-    """``matrix`` as an array if it holds only 0 and 1, with at most one 1
-    per column (axis 0) or row (axis 1), so its index table is exact."""
+    """``matrix`` as an array if it is 2-d and holds only 0 and 1, with at
+    most one 1 per column (axis 0) or row (axis 1), so its index table is
+    exact."""
     matrix = np.asarray(matrix)
-    if np.isin(matrix, (0, 1)).all() and (matrix.sum(axis) <= 1).all():
+    if matrix.ndim == 2 and ((matrix == 0) | (matrix == 1)).all() \
+            and (matrix.sum(axis) <= 1).all():
         return matrix
     raise ValidationError(f"{what} must hold only 0 and 1, with at most one "
                           f"1 per {('column', 'row')[axis]}", check=check)
@@ -151,17 +158,24 @@ def _one_hot(matrix: np.ndarray, axis: int, what: str,
 def process_table(selector: np.ndarray) -> list[int]:
     """Transformation process of every delivery transition, or -1: the
     selector's columns as indices."""
-    return [int(column.argmax()) if column.any() else -1
-            for column in _one_hot(selector, 0,
-                                   "the transformation selector").T]
+    selector = _one_hot(selector, 0, "the transformation selector")
+    table = np.full(selector.shape[1], -1)
+    processes, transitions = np.nonzero(selector)
+    table[transitions] = processes
+    return table.tolist()
 
 
 def candidate_table(feasibility: np.ndarray) -> list[tuple[int, ...]]:
     """Health events each transformation process realizes: the
     feasibility matrix's columns as index tuples."""
-    return [tuple(np.flatnonzero(column).tolist())
-            for column in _one_hot(feasibility, 1, "a feasibility matrix",
-                                   check="feasibility-tags").T]
+    feasibility = _one_hot(feasibility, 1, "a feasibility matrix",
+                           check="feasibility-tags")
+    # nonzero of the transpose lists (process, event) pairs by process
+    processes, events = np.nonzero(feasibility.T)
+    bounds = np.searchsorted(processes,
+                             np.arange(feasibility.shape[1] + 1)).tolist()
+    events = events.tolist()
+    return [tuple(events[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,28 +301,28 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     by_id = {ind.id: ind for ind in individuals}
     if len(by_id) != len(individuals):
         raise ValidationError("duplicate individual ids")
-    heap: list[tuple] = []
-    seq = 0
-
-    def push(time, event):
-        nonlocal seq
-        heapq.heappush(heap, (float(time), RANK[type(event)], seq, event))
-        seq += 1
 
     def rejected(action, message: str) -> ValidationError:
         kind = "delivery" if isinstance(action, DeliveryAction) else "health"
         return ValidationError(f"{kind} action at t={action.time} for "
                                f"individual {action.individual!r}: {message}")
 
+    schedule: list[tuple] = []  # (time, rank, position, action)
     for action in (*delivery_actions, *health_actions):
         if action.individual not in by_id:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
+        time = float(action.time)
+        # not time >= 0 also catches NaN, which has no place in the order
+        if isinstance(action.time, bool) or not time >= 0:
+            raise rejected(action, f"time {action.time!r} is not a number "
+                                   f">= 0")
         n_states = by_id[action.individual].net.n_states
         if action.outcome is not None and not 0 <= action.outcome < n_states:
             raise rejected(action, f"state {action.outcome} is out of range "
                                    f"for a net of {n_states} states")
-        push(action.time, action)
+        schedule.append((time, RANK[type(action)], len(schedule), action))
+    schedule.sort()
     for action in delivery_actions:
         if not 0 <= action.psi < net.n_transitions:
             raise rejected(action, f"transition {action.psi} is out of range "
@@ -357,6 +371,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
     marking = initial
     total_cost = 0.0
+    # Completions in flight, (time, rank, seq, completion). Their sequence
+    # numbers follow every schedule position, so merging the heap with the
+    # sorted schedule pops events in the order of one queue holding both.
+    heap: list[tuple] = []
+    seq = itertools.count(len(schedule))
 
     def record_outcome(time: float, ind_id: str) -> None:
         # health.health_outcome without its per-call conversions
@@ -368,85 +387,87 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         hnet = by_id[ind_id].net
         markings[ind_id] = health.start_event(hnet, markings[ind_id], event)
         column = health.resolve_output(hnet, event, outcome=outcome, rng=rng)
-        push(time + hnet.events[event].duration,
-             HealthCompletion(ind_id, event, column))
+        heappush(heap, (time + hnet.events[event].duration, 1, next(seq),
+                        HealthCompletion(ind_id, event, column)))
         trace.append(TraceRow(time, health_net[ind_id],
                               hnet.events[event].name, event, "start"))
         record_outcome(time, ind_id)
 
-    while heap:
-        time, _, _, event = heapq.heappop(heap)
+    position, n_scheduled = 0, len(schedule)
+    while heap or position < n_scheduled:
+        if heap and (position == n_scheduled or heap[0] < schedule[position]):
+            time, rank, _, event = heappop(heap)
+        else:
+            time, rank, _, event = schedule[position]
+            position += 1
         ind_id = event.individual
         try:
-            match event:
-                case DeliveryAction(psi=psi):
-                    marking = step(net, marking, psi, "start")
-                    if marking.busy_tokens[psi] > capacities[psi]:
-                        raise CapacityError(
-                            f"transition {psi} ({labels[psi]}) exceeds its "
-                            f"concurrent capacity of {capacities[psi]}")
-                    trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                          "start"))
-                    trajectory.append(TrajectoryPoint(
-                        time, psi, "start", marking, total_cost))
-                    push(time + durations[psi],
-                         DeliveryCompletion(psi, ind_id))
-                    result.coupling_checks.append((time, psi, ind_id))
+            # branch on the rank of RANK, most frequent first
+            if rank == 2:  # DeliveryAction
+                psi = event.psi
+                marking = step(net, marking, psi, "start")
+                if marking.busy_tokens[psi] > capacities[psi]:
+                    raise CapacityError(
+                        f"transition {psi} ({labels[psi]}) exceeds its "
+                        f"concurrent capacity of {capacities[psi]}")
+                trace.append(TraceRow(time, "delivery", labels[psi], psi,
+                                      "start"))
+                trajectory.append(TrajectoryPoint(
+                    time, psi, "start", marking, total_cost))
+                heappush(heap, (time + durations[psi], 0, next(seq),
+                                DeliveryCompletion(psi, ind_id)))
+                result.coupling_checks.append((time, psi, ind_id))
 
-                    process = process_of[psi]
-                    if process >= 0:
-                        ev = induced_event(by_id[ind_id].net,
-                                           markings[ind_id], process,
-                                           candidates[ind_id][process])
-                        start_health_event(time, ind_id, ev, event.outcome)
+                process = process_of[psi]
+                if process >= 0:
+                    ev = induced_event(by_id[ind_id].net, markings[ind_id],
+                                       process, candidates[ind_id][process])
+                    start_health_event(time, ind_id, ev, event.outcome)
 
-                case DeliveryCompletion(psi=psi):
-                    marking = step(net, marking, psi, "complete")
-                    total_cost += costs[psi]
-                    trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                          "complete"))
-                    trajectory.append(TrajectoryPoint(
-                        time, psi, "complete", marking, total_cost))
+            elif rank == 0:  # DeliveryCompletion
+                psi = event.psi
+                marking = step(net, marking, psi, "complete")
+                total_cost += costs[psi]
+                trace.append(TraceRow(time, "delivery", labels[psi], psi,
+                                      "complete"))
+                trajectory.append(TrajectoryPoint(
+                    time, psi, "complete", marking, total_cost))
 
-                case HealthAction(events=events):
-                    hnet = by_id[ind_id].net
-                    enabled = [ev for ev in events
-                               if health.is_enabled(hnet, markings[ind_id],
-                                                    ev)]
-                    if not enabled:
-                        if event.optional:
-                            result.skipped_actions += 1
-                            continue
-                        names = [hnet.events[ev].name for ev in events]
-                        raise NotEnabledError(
-                            f"none of the scheduled health events {names} "
-                            f"is enabled")
-                    if len(enabled) > 1:
-                        names = [hnet.events[ev].name for ev in enabled]
-                        raise AmbiguousHealthEventError(
-                            f"several scheduled health events are enabled "
-                            f"at once: {names}")
-                    start_health_event(time, ind_id, enabled[0],
-                                       event.outcome)
+            elif rank == 3:  # HealthAction
+                hnet, events = by_id[ind_id].net, event.events
+                enabled = [ev for ev in events
+                           if health.is_enabled(hnet, markings[ind_id], ev)]
+                if not enabled:
+                    if event.optional:
+                        result.skipped_actions += 1
+                        continue
+                    names = [hnet.events[ev].name for ev in events]
+                    raise NotEnabledError(
+                        f"none of the scheduled health events {names} "
+                        f"is enabled")
+                if len(enabled) > 1:
+                    names = [hnet.events[ev].name for ev in enabled]
+                    raise AmbiguousHealthEventError(
+                        f"several scheduled health events are enabled "
+                        f"at once: {names}")
+                start_health_event(time, ind_id, enabled[0], event.outcome)
 
-                case HealthCompletion(event=ev, column=column):
-                    hnet = by_id[ind_id].net
-                    markings[ind_id] = health.apply_completion(
-                        hnet, markings[ind_id], ev, column)
-                    trace.append(TraceRow(time, health_net[ind_id],
-                                          hnet.events[ev].name, ev,
-                                          "complete"))
-                    record_outcome(time, ind_id)
+            else:  # HealthCompletion
+                hnet, ev = by_id[ind_id].net, event.event
+                markings[ind_id] = health.apply_completion(
+                    hnet, markings[ind_id], ev, event.column)
+                trace.append(TraceRow(time, health_net[ind_id],
+                                      hnet.events[ev].name, ev, "complete"))
+                record_outcome(time, ind_id)
 
         except CareNetsError as exc:
             where, names = health_net[ind_id], by_id[ind_id].net.events
-            match event:
-                case DeliveryAction(psi=psi) | DeliveryCompletion(psi=psi):
-                    where, label = "delivery", labels[psi]
-                case HealthAction(events=events):
-                    label = " | ".join(names[ev].name for ev in events)
-                case HealthCompletion(event=ev):
-                    label = names[ev].name
+            if rank in (0, 2):
+                where, label = "delivery", labels[event.psi]
+            elif rank == 3:
+                label = " | ".join(names[ev].name for ev in event.events)
+            else:
+                label = names[event.event].name
             raise SimulationError(
                 f"at t={time}, {where} {label!r}, individual {ind_id!r}: "
                 f"{exc}", time=time, net=where, label=label,

@@ -107,7 +107,7 @@ class DeliveryNet:
             if vec.shape != (n_trans,):
                 raise ValidationError(f"{name} must have one entry per "
                                       f"transition")
-            if np.any(vec < 0):
+            if not (vec >= 0).all():  # NaN too: no completion time is NaN
                 raise ValidationError(f"{name} must be nonnegative",
                                       check=name)
         # every column is one-hot, so its argmax is its one place

@@ -103,7 +103,7 @@ class HealthNet:
                 raise ValidationError(
                     f"event {ev.name!r} at position {position} carries "
                     f"index {ev.index}")
-            if ev.duration < 0:
+            if not ev.duration >= 0:  # NaN too
                 raise ValidationError(
                     f"event {ev.name!r} has negative duration",
                     check="durations")

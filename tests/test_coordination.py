@@ -279,6 +279,115 @@ class TestIndexTables:
         assert (fired, raised) == (2, 3)
 
 
+# The index tables as they were read one column at a time, the oracles of
+# the whole-matrix versions: a table is exact only for a 0/1 matrix with
+# at most one 1 per selector column or feasibility row.
+
+def oracle_one_hot(matrix, axis):
+    lines = matrix.T if axis == 0 else matrix
+    return all(np.isin(line, (0, 1)).all() and line.sum() <= 1
+               for line in lines)
+
+
+def oracle_process_table(selector):
+    if not oracle_one_hot(selector, 0):
+        return None
+    return [int(column.argmax()) if column.any() else -1
+            for column in selector.T]
+
+
+def oracle_candidate_table(feasibility):
+    if not oracle_one_hot(feasibility, 1):
+        return None
+    return [tuple(np.flatnonzero(column).tolist())
+            for column in feasibility.T]
+
+
+TABLES = [
+    (process_table, oracle_process_table, "selector must hold only 0 and 1, "
+     "with at most one 1 per column", "structure"),
+    (candidate_table, oracle_candidate_table, "matrix must hold only 0 and "
+     "1, with at most one 1 per row", "feasibility-tags"),
+]
+
+
+def assert_tables_match_oracles(matrix):
+    for table, oracle, message, check in TABLES:
+        expected = oracle(matrix)
+        if expected is not None:
+            assert table(matrix) == expected
+            continue
+        with pytest.raises(ValidationError, match=message) as err:
+            table(matrix)
+        assert err.value.check == check
+    for axis in (0, 1):
+        if oracle_one_hot(matrix, axis):
+            assert coordination._one_hot(matrix, axis, "m") is matrix
+        else:
+            with pytest.raises(ValidationError):
+                coordination._one_hot(matrix, axis, "m")
+
+
+@st.composite
+def table_inputs(draw):
+    """A 0/1 matrix, empty shapes included, mostly sparse so that many
+    are one-hot; as int, float or bool, or with one entry replaced by 2,
+    -1, 0.5 or NaN, or as text."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    matrix = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1]),
+                                    min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1])),
+                      dtype=int).reshape(shape)
+    form = draw(st.sampled_from(["int", "float", "bool", "bad entry",
+                                 "text"]))
+    if matrix.size == 0 and form in ("bad entry", "text"):
+        form = "int"
+    if form == "float":
+        matrix = matrix.astype(float)
+    elif form == "bool":
+        matrix = matrix.astype(bool)
+    elif form == "bad entry":
+        matrix = matrix.astype(float)
+        cell = draw(st.integers(0, matrix.size - 1))
+        matrix.flat[cell] = draw(st.sampled_from([2, -1, 0.5, np.nan]))
+    elif form == "text":
+        matrix = matrix.astype(str)
+    return matrix
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(table_inputs())
+def test_index_tables_match_per_column_oracles(matrix):
+    assert_tables_match_oracles(matrix)
+
+
+@pytest.mark.parametrize("matrix, accepted", [
+    (np.zeros((0, 3), dtype=int), (True, True)),
+    (np.zeros((2, 0), dtype=int), (True, True)),
+    (np.array([[True, False], [False, False]]), (True, True)),
+    (np.array([[2, 0], [0, 0]]), (False, False)),
+    (np.array([[-1, 1], [1, 0]]), (False, False)),
+    (np.array([[0.5, 0.0], [0.0, 0.0]]), (False, False)),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), (False, False)),
+    (np.array([["0", "1"], ["0", "0"]]), (False, False)),
+    (np.array([[1, 0], [1, 0]]), (False, True)),
+    (np.array([[1, 1], [0, 0]]), (True, False)),
+], ids=["no rows", "no columns", "bool", "two", "minus one", "half", "nan",
+        "text", "two in a column", "two in a row"])
+def test_index_table_inputs(matrix, accepted):
+    assert (oracle_one_hot(matrix, 0), oracle_one_hot(matrix, 1)) == accepted
+    assert_tables_match_oracles(matrix)
+
+
+@pytest.mark.parametrize("matrix", [np.array([0, 1]), np.zeros((1, 1, 1))],
+                         ids=["1-d", "3-d"])
+def test_index_tables_need_a_2d_matrix(matrix):
+    for table, _, message, check in TABLES:
+        with pytest.raises(ValidationError, match=message) as err:
+            table(matrix)
+        assert err.value.check == check
+
+
 @pytest.mark.parametrize("name", ["acute", "chronic"])
 def test_kernel_never_falls_back_to_matrix_oracles(monkeypatch, request,
                                                    name):
@@ -574,6 +683,36 @@ class TestCosimulate:
         assert str(err) == (f"delivery action at t=1.0 for individual "
                             f"'p1': transition {psi} is out of range for a "
                             f"net of {net.n_transitions} transitions")
+
+    @pytest.mark.parametrize("time", [float("nan"), -1.0, True],
+                             ids=["nan", "negative", "bool"])
+    def test_bad_delivery_time_rejected(self, monkeypatch, time):
+        # the schedule is sorted once, so its times need a total order;
+        # a start at -1.0 would precede the initial point at 0.0
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], selector,
+            [DeliveryAction(time, dofs["check"], "p1"),
+             DeliveryAction(0.5, dofs["check"], "p1")], [])
+        assert str(err) == (f"delivery action at t={time} for individual "
+                            f"'p1': time {time!r} is not a number >= 0")
+
+    @pytest.mark.parametrize("time", [float("nan"), -0.5, False],
+                             ids=["nan", "negative", "bool"])
+    def test_bad_health_time_rejected(self, monkeypatch, time):
+        _, net, individual, selector, initial, _ = cosim_setup()
+        err = _rejected_before_any_event(
+            monkeypatch, net, initial, [individual], selector, [],
+            [HealthAction(0.0, "p1", (0,)), HealthAction(time, "p1", (0,))])
+        assert str(err) == (f"health action at t={time} for individual "
+                            f"'p1': time {time!r} is not a number >= 0")
+
+    def test_integer_zero_time_accepted(self):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        result = cosimulate(net, initial, [individual], selector,
+                            [DeliveryAction(0, dofs["check"], "p1")], [])
+        assert [(row.time, type(row.time)) for row in result.trace] == \
+            [(0.0, float), (0.5, float)]
 
 
 def _rejected_before_any_event(monkeypatch, *args) -> ValidationError:

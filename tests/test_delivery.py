@@ -125,6 +125,18 @@ class TestNetTables:
         assert err.value.check == "incidence-column-sums"
         assert str(err.value).startswith("column 0 of m_minus holds")
 
+    @pytest.mark.parametrize("name", ["durations", "costs"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_negative_or_nan_entry_rejected(self, name, value):
+        # NaN fails the same check: a completion time must never be NaN
+        _, net = two_place_net()
+        vec = np.array(getattr(net, name), dtype=float)
+        vec[1] = value
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(net, **{name: vec})
+        assert err.value.check == name
+        assert str(err.value) == f"{name} must be nonnegative"
+
 
 def two_place_net():
     resources = [Resource(0, "clinic", F),

@@ -1,5 +1,6 @@
 """Golden digests of the report files for both bundled fixtures and for
-a small cohort of chronic clones.
+a small cohort of chronic clones, with its durations as given and set to
+0.
 
 Criterion 11 compares a run with a second run of the same code; these
 pins compare it with recorded outputs, so a change to the kernel or the
@@ -141,3 +142,53 @@ def test_cohort_report_files_match_golden_digests(tmp_path):
     assert main(["simulate", str(path), "--mode", "replay",
                  "--out", str(out)]) == 0
     assert report_digests(out) == COHORT_DIGESTS
+
+
+def zero_durations(doc):
+    """``doc`` with every delivery and health event duration set to 0, so
+    each start completes at its own instant and the queue's tie-breaking
+    decides the order of every row."""
+    assumed = doc["assumed_values"]
+    assumed["durations"] = dict.fromkeys(assumed["durations"], 0.0)
+    for table in assumed["health_event_durations"].values():
+        table.update(dict.fromkeys(table, 0.0))
+    return doc
+
+
+#: Recorded before the kernel merged a sorted schedule with a heap of
+#: in-flight completions; the order of tied events must not change.
+TIED_DIGESTS = {
+    "shifted": {
+        "delivery.csv":
+            "6632f1a5a27fa5fa21474c73ba33f5a98234cf12f18c76c93b29c6cafb597a82",
+        "outcomes.csv":
+            "d26abc7915fdee0d3b6a558e1738ab60b579f4e9949de46d7bbfc9e1119d2d75",
+        "summary.txt":
+            "b9f2f82d1103e6d5b14044df18227a4260839cba5e9cdd8087b95a3a72ba9efb",
+        "trace.csv":
+            "195905e55dcd9f1015dc64185a0351db51ca0498ab2c0d9ef5f9d36722edeedf",
+    },
+    "aligned": {
+        "delivery.csv":
+            "56fa291b49afd5a3e05cf708b83e9dce7ab65b787597a7fc1b82ae21a5d2d966",
+        "outcomes.csv":
+            "829a32586be047000e3fcde6c7a49d90e02f2905f56e9fe602a516dd4db2f271",
+        "summary.txt":
+            "b9f2f82d1103e6d5b14044df18227a4260839cba5e9cdd8087b95a3a72ba9efb",
+        "trace.csv":
+            "b75b211e8d9a492625bbbe5ab2756bf7d25806057559cd103c2e5b326fafacd4",
+    },
+}
+
+
+@pytest.mark.parametrize("offsets, name",
+                         [(CLONE_OFFSETS, "shifted"), ((0.0,) * 5, "aligned")],
+                         ids=["shifted", "aligned"])
+def test_zero_duration_cohort_matches_golden_digests(offsets, name, tmp_path):
+    path = tmp_path / "cohort.json"
+    path.write_text(json.dumps(zero_durations(chronic_clones(offsets))),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--mode", "replay",
+                 "--out", str(out)]) == 0
+    assert report_digests(out) == TIED_DIGESTS[name]

@@ -354,6 +354,15 @@ class TestValidation:
                       np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
         assert err.value.check == "durations"
 
+    def test_nan_duration_rejected_under_durations(self):
+        # a completion time must never be NaN
+        events = (HealthEvent(0, "e", STOCH, duration=float("nan")),)
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), events, np.array([[1.0], [0.0]]),
+                      np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
+        assert err.value.check == "durations"
+        assert str(err.value) == "event 'e' has negative duration"
+
     def test_unit_mass_check(self):
         net = chain_net()
         check_unit_mass(HealthMarking.point(net, "a"))
