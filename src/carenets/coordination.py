@@ -19,13 +19,15 @@ below accept only selector columns and feasibility rows with at most one
 fires one of p's candidates, whose row of F is e_p.
 
 :func:`cosimulate` is the package's one discrete-event kernel. It runs
-four kinds of typed event (delivery start and completion, scheduled health
-action, health completion) in the order of time, then :data:`RANK`, then
-queue order, and changes markings only through :func:`delivery.step` and
-the :mod:`health` primitives. Its queue is a schedule sorted once, merged
-with a heap of in-flight completions: the scheduled actions (ranks 2 and
-3) are sorted by (time, rank, position) before the loop, and the heap
-holds only the completions queued since. The matrix algebra builds and
+four kinds of event (delivery start and completion, scheduled health
+action, health completion) in the order of time, then rank
+(:data:`DELIVERY_COMPLETION` to :data:`HEALTH_ACTION`), then queue order,
+and changes markings only through :func:`delivery.step` and the
+:mod:`health` primitives. Its queue is a schedule sorted once, merged
+with a heap of in-flight completions: the scheduled actions are sorted by
+(time, rank, position) before the loop, and the heap holds only the
+completions queued since. A delivery start queues its own
+:class:`DeliveryAction` as its completion. The matrix algebra builds and
 verifies the nets; the kernel runs on index tables read off the same
 matrices.
 A delivery firing moves one token through the net's ``origin`` and
@@ -227,17 +229,19 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class RunResult:
-    """``coupling_checks``: one (time, psi, individual) per delivery start,
-    kept only because the benchmark harness counts it (see ROADMAP)."""
-
     trace: list[TraceRow] = field(default_factory=list)
     delivery_trajectory: list[TrajectoryPoint] = field(default_factory=list)
     outcome_series: list[tuple[float, str, float]] = field(
         default_factory=list)
-    coupling_checks: list[tuple[float, int, str]] = field(
-        default_factory=list)
     final_health: dict[str, HealthMarking] = field(default_factory=dict)
     skipped_actions: int = 0
+
+    @property
+    def coupling_checks(self) -> list[tuple[float, int]]:
+        """(time, psi) of each delivery start, the firings whose coupling
+        the entry checks prove."""
+        return [(point.time, point.psi) for point in self.delivery_trajectory
+                if point.kind == "start"]
 
     @property
     def cost_series(self) -> list[tuple[float, float]]:
@@ -253,13 +257,6 @@ class RunResult:
         return trajectory[-1].marking if trajectory else None
 
 
-class DeliveryCompletion(NamedTuple):
-    """Completion of a delivery transition started by one individual."""
-
-    psi: int
-    individual: str
-
-
 class HealthCompletion(NamedTuple):
     """Completion of an in-flight health event along its output column."""
 
@@ -268,12 +265,12 @@ class HealthCompletion(NamedTuple):
     column: np.ndarray
 
 
-#: The order of the events that share one instant, lowest rank first;
+#: The ranks that order the events sharing one instant, lowest first;
 #: events of one rank run in the order they were queued. Completions come
 #: before starts, so a token or unit of mass that a completion releases
 #: can be used by a start at the same instant.
-RANK = {DeliveryCompletion: 0, HealthCompletion: 1, DeliveryAction: 2,
-        HealthAction: 3}
+DELIVERY_COMPLETION, HEALTH_COMPLETION, DELIVERY_START, HEALTH_ACTION = \
+    range(4)
 
 
 def cosimulate(net: DeliveryNet, initial: Marking,
@@ -289,7 +286,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     transition additionally fires the induced health event of the engaged
     individual. A :class:`HealthAction` fires a stochastic event on its
     own. Every start, of either net, queues its own completion after its
-    duration. The events of one instant run in the order of :data:`RANK`,
+    duration. The events of one instant run in the order of their ranks,
     and within a rank in the order they were queued. In sample mode,
     branch outcomes are drawn from a generator seeded once for the whole
     run. Bad inputs raise :class:`ValidationError` before any event runs;
@@ -321,7 +318,9 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         if action.outcome is not None and not 0 <= action.outcome < n_states:
             raise rejected(action, f"state {action.outcome} is out of range "
                                    f"for a net of {n_states} states")
-        schedule.append((time, RANK[type(action)], len(schedule), action))
+        rank = (DELIVERY_START if isinstance(action, DeliveryAction)
+                else HEALTH_ACTION)
+        schedule.append((time, rank, len(schedule), action))
     schedule.sort()
     for action in delivery_actions:
         if not 0 <= action.psi < net.n_transitions:
@@ -337,16 +336,41 @@ def cosimulate(net: DeliveryNet, initial: Marking,
             if not events[ev].is_stochastic:
                 raise rejected(action, f"induced event {events[ev].name!r} "
                                        f"cannot be scheduled directly")
+    # The loop reads the markings and the tables below by index, so each
+    # must have the shape of its net: a wrong one would fail mid-run or
+    # pass unnoticed.
+    if (np.shape(initial.place_tokens) != (net.n_places,)
+            or np.shape(initial.busy_tokens) != (net.n_transitions,)):
+        raise ValidationError(
+            "the initial marking must hold one token count per place and "
+            "one per transition", check="initial-tokens")
     # Index tables read off the matrices once per call: a start looks up
     # its process and candidate events instead of multiplying the
     # selector by an engagement vector and scanning feasibility columns.
     # Individuals with the same condition share one net and feasibility
     # matrix, so each table is built once per distinct object.
     process_of = process_table(selector)
+    if len(process_of) != net.n_transitions:
+        raise ValidationError(
+            f"the transformation selector has {len(process_of)} columns, "
+            f"expected one per transition ({net.n_transitions})")
+    n_processes = np.shape(selector)[0]
     tables: dict[int, list[tuple[int, ...]]] = {}
     for ind in individuals:
         if id(ind.feasibility) not in tables:
             tables[id(ind.feasibility)] = candidate_table(ind.feasibility)
+        shape = (ind.net.n_events, n_processes)
+        if np.shape(ind.feasibility) != shape:
+            raise ValidationError(
+                f"individual {ind.id!r}: the feasibility matrix has shape "
+                f"{np.shape(ind.feasibility)}, expected {shape}",
+                check="feasibility-tags")
+        if (np.shape(ind.initial.state_mass) != (ind.net.n_states,)
+                or np.shape(ind.initial.event_mass) != (ind.net.n_events,)):
+            raise ValidationError(
+                f"individual {ind.id!r}: the initial health marking must "
+                f"hold one mass per state and one per event",
+                check="initial-mass")
     candidates = {ind.id: tables[id(ind.feasibility)] for ind in individuals}
 
     rng = np.random.default_rng(seed) if mode == "sample" else None
@@ -354,14 +378,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     result = RunResult()
     result.delivery_trajectory.append(
         TrajectoryPoint(0.0, None, "initial", initial, 0.0))
-    for ind in individuals:
-        result.outcome_series.append(
-            (0.0, ind.id,
-             health.health_outcome(ind.net.values, ind.initial.state_mass)))
 
     health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
-    values = {ind.id: np.asarray(ind.net.values, dtype=float)
-              for ind in individuals}
     labels = [t.label for t in net.transitions]
     durations = net.durations.tolist()
     costs = net.costs.tolist()
@@ -378,20 +396,24 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     seq = itertools.count(len(schedule))
 
     def record_outcome(time: float, ind_id: str) -> None:
-        # health.health_outcome without its per-call conversions
+        # health.health_outcome without its per-call checks
         result.outcome_series.append(
             (time, ind_id,
-             float(values[ind_id] @ markings[ind_id].state_mass)))
+             float(by_id[ind_id].net.values @ markings[ind_id].state_mass)))
 
     def start_health_event(time, ind_id, event, outcome):
         hnet = by_id[ind_id].net
         markings[ind_id] = health.start_event(hnet, markings[ind_id], event)
         column = health.resolve_output(hnet, event, outcome=outcome, rng=rng)
-        heappush(heap, (time + hnet.events[event].duration, 1, next(seq),
+        heappush(heap, (time + hnet.events[event].duration,
+                        HEALTH_COMPLETION, next(seq),
                         HealthCompletion(ind_id, event, column)))
         trace.append(TraceRow(time, health_net[ind_id],
                               hnet.events[event].name, event, "start"))
         record_outcome(time, ind_id)
+
+    for ind in individuals:
+        record_outcome(0.0, ind.id)
 
     position, n_scheduled = 0, len(schedule)
     while heap or position < n_scheduled:
@@ -402,8 +424,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
             position += 1
         ind_id = event.individual
         try:
-            # branch on the rank of RANK, most frequent first
-            if rank == 2:  # DeliveryAction
+            # most frequent first
+            if rank == DELIVERY_START:
                 psi = event.psi
                 marking = step(net, marking, psi, "start")
                 if marking.busy_tokens[psi] > capacities[psi]:
@@ -414,9 +436,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                       "start"))
                 trajectory.append(TrajectoryPoint(
                     time, psi, "start", marking, total_cost))
-                heappush(heap, (time + durations[psi], 0, next(seq),
-                                DeliveryCompletion(psi, ind_id)))
-                result.coupling_checks.append((time, psi, ind_id))
+                heappush(heap, (time + durations[psi], DELIVERY_COMPLETION,
+                                next(seq), event))
 
                 process = process_of[psi]
                 if process >= 0:
@@ -424,7 +445,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                        process, candidates[ind_id][process])
                     start_health_event(time, ind_id, ev, event.outcome)
 
-            elif rank == 0:  # DeliveryCompletion
+            elif rank == DELIVERY_COMPLETION:
                 psi = event.psi
                 marking = step(net, marking, psi, "complete")
                 total_cost += costs[psi]
@@ -433,7 +454,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 trajectory.append(TrajectoryPoint(
                     time, psi, "complete", marking, total_cost))
 
-            elif rank == 3:  # HealthAction
+            elif rank == HEALTH_ACTION:
                 hnet, events = by_id[ind_id].net, event.events
                 enabled = [ev for ev in events
                            if health.is_enabled(hnet, markings[ind_id], ev)]
@@ -452,7 +473,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                         f"at once: {names}")
                 start_health_event(time, ind_id, enabled[0], event.outcome)
 
-            else:  # HealthCompletion
+            else:  # HEALTH_COMPLETION
                 hnet, ev = by_id[ind_id].net, event.event
                 markings[ind_id] = health.apply_completion(
                     hnet, markings[ind_id], ev, event.column)
@@ -462,9 +483,9 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
         except CareNetsError as exc:
             where, names = health_net[ind_id], by_id[ind_id].net.events
-            if rank in (0, 2):
+            if rank in (DELIVERY_COMPLETION, DELIVERY_START):
                 where, label = "delivery", labels[event.psi]
-            elif rank == 3:
+            elif rank == HEALTH_ACTION:
                 label = " | ".join(names[ev].name for ev in event.events)
             else:
                 label = names[event.event].name

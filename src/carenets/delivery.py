@@ -110,6 +110,11 @@ class DeliveryNet:
             if not (vec >= 0).all():  # NaN too: no completion time is NaN
                 raise ValidationError(f"{name} must be nonnegative",
                                       check=name)
+        if self.capacities.shape != (n_trans,) \
+                or not (self.capacities >= 1).all():
+            raise ValidationError("capacities must have one entry per "
+                                  "transition, each at least 1",
+                                  check="capacities")
         # every column is one-hot, so its argmax is its one place
         for name, mat in (("origin", self.m_minus),
                           ("destination", self.m_plus)):

@@ -18,6 +18,11 @@ from typing import Sequence
 from .coordination import RunResult
 from .scenario import CompiledScenario, ScenarioDocument, compile_scenario
 
+#: The report files of one run, and the table a ``--runs`` directory adds;
+#: a failed run removes each of them.
+TRACE, DELIVERY, OUTCOMES, SUMMARY, RUNS = REPORT_FILES = (
+    "trace.csv", "delivery.csv", "outcomes.csv", "summary.txt", "runs.csv")
+
 
 def _fmt(value) -> str:
     if isinstance(value, float) and value == int(value):
@@ -114,11 +119,10 @@ def final_outcome_by_individual(result: RunResult) -> dict[str, float]:
 def write_run(out_dir: Path, compiled: CompiledScenario, result: RunResult,
               mode: str, seed: int | None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out_dir / "trace.csv", result)
-    write_delivery_csv(out_dir / "delivery.csv", result,
-                       compiled.net.place_names)
-    write_outcomes_csv(out_dir / "outcomes.csv", result)
-    write_summary(out_dir / "summary.txt", compiled, result, mode, seed)
+    write_trace_csv(out_dir / TRACE, result)
+    write_delivery_csv(out_dir / DELIVERY, result, compiled.net.place_names)
+    write_outcomes_csv(out_dir / OUTCOMES, result)
+    write_summary(out_dir / SUMMARY, compiled, result, mode, seed)
 
 
 def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
@@ -157,8 +161,8 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
                          final_outcome_by_individual(result)))
 
         ids = [ind.id for ind in compiled.individuals]
-        with (out_dir / "runs.csv").open("w", encoding="utf-8",
-                                         newline="") as handle:
+        with (out_dir / RUNS).open("w", encoding="utf-8",
+                                   newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["run", "seed", "final_cost"]
                             + [f"final_outcome:{i}" for i in ids])
@@ -171,8 +175,8 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
         for ind_id in ids:
             lines += _stats(f"final outcome for {ind_id}",
                             [row[3][ind_id] for row in rows])
-        (out_dir / "summary.txt").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
+        (out_dir / SUMMARY).write_text("\n".join(lines) + "\n",
+                                       encoding="utf-8")
         return out_dir
     except BaseException:
         _cleanup(touched)
@@ -193,12 +197,10 @@ def _stats(label: str, values: list[float]) -> list[str]:
 def _cleanup(touched: list[tuple[Path, bool]]) -> None:
     """Remove the report files from each (directory, existed before the
     run) pair, innermost first, and each directory the run created."""
-    names = ["trace.csv", "delivery.csv", "outcomes.csv", "summary.txt",
-             "runs.csv"]
     for directory, existed in reversed(touched):
         if not directory.is_dir():
             continue
-        for name in names:
+        for name in REPORT_FILES:
             (directory / name).unlink(missing_ok=True)
         if not existed:
             try:

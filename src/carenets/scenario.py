@@ -591,13 +591,18 @@ def _per_dof(model: StructuralModel, table: dict[str, float], what: str,
     return out
 
 
+#: The per-individual sections of ``assumed_values``, each with the check
+#: that reports a name in it that matches nothing.
+_NET_TABLES = {"health_state_values": "health-values",
+               "health_event_durations": "durations",
+               "health_event_weights": "health-event-normalization"}
+
+
 def _net_tables(ind: dict, assumed: dict) -> tuple[dict, dict, dict]:
     """The individual's entries in ``assumed_values``: state values, event
     durations and deferred branch weights."""
     return tuple(assumed.get(section, {}).get(ind["id"], {})
-                 for section in ("health_state_values",
-                                 "health_event_durations",
-                                 "health_event_weights"))
+                 for section in _NET_TABLES)
 
 
 def _build_health_net(ind: dict, assumed: dict,
@@ -662,6 +667,21 @@ def _build_health_net(ind: dict, assumed: dict,
             j, spec["name"], _EVENT_KINDS[spec["kind"]],
             realized_by=tuple(spec.get("realized_by", ())),
             duration=duration))
+    produces = {spec["name"]: spec["produces"] for spec in specs}
+    for name in durations:
+        if name != DEFAULT_KEY and name not in produces:
+            col.add("durations",
+                    f"{where}: duration declared for unknown event {name!r}")
+    for name, branches in weights.items():
+        if name not in produces:
+            col.add("health-event-normalization",
+                    f"{where}: weights declared for unknown event {name!r}")
+            continue
+        for state in branches:
+            if produces[name].get(state, 0) is not None:
+                col.add("health-event-normalization",
+                        f"{where}: event {name!r} does not defer the weight "
+                        f"of branch {state!r}")
     if not ok:
         return None
     try:
@@ -772,6 +792,12 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                     array.flags.writeable = False
                 bucket.append((content, (hnet, event_index, feas)))
         individuals.append(Individual(ind["id"], hnet, marking, feas))
+
+    for section, check in _NET_TABLES.items():
+        for ind_id in assumed.get(section, {}):
+            if ind_id not in nets:
+                col.add(check, f"{section} names unknown individual "
+                               f"{ind_id!r}")
 
     delivery_actions = []
     health_actions = []

@@ -25,7 +25,8 @@ from carenets.scenario import compile_scenario, load_scenario_data
 from carenets.structure import (Process, Resource, ResourceClass,
                                 StructuralModel)
 
-from helpers import (ACUTE, CHRONIC, assert_coupled_and_conserved,
+from helpers import (ACUTE, CHRONIC, CLONE_OFFSETS,
+                     assert_coupled_and_conserved, chronic_clones,
                      completion_counts, observe, run_starts)
 
 STOCH = HealthEventKind.STOCHASTIC
@@ -415,6 +416,75 @@ def test_kernel_never_falls_back_to_matrix_oracles(monkeypatch, request,
     assert result.coupling_checks == expected.coupling_checks
 
 
+def _replace_individual(**change):
+    """Case input: the acute individual with each field replaced by
+    ``change[field](individual)``."""
+    def mutate(compiled):
+        (ind,) = compiled.individuals
+        return {"individuals": [dataclasses.replace(
+            ind, **{name: make(ind) for name, make in change.items()})]}
+    return mutate
+
+
+def _one_more(matrix, axis):
+    return np.concatenate([matrix, np.zeros_like(matrix.take([0], axis))],
+                          axis)
+
+
+# Inputs whose shape does not match the net: (replacement cosimulate
+# arguments, check). The kernel reads each by index, so it must reject
+# them before any event.
+WRONG_SHAPES = {
+    "capacities-short": (
+        lambda c: {"net": dataclasses.replace(
+            c.net, capacities=c.net.capacities[:-1])},
+        "capacities"),
+    "marking-few-places": (
+        lambda c: {"initial": Marking(c.initial.place_tokens[:-1],
+                                      c.initial.busy_tokens)},
+        "initial-tokens"),
+    "selector-few-columns": (
+        lambda c: {"selector": c.selector[:, :-1]}, "structure"),
+    "selector-extra-column": (
+        lambda c: {"selector": _one_more(c.selector, 1)}, "structure"),
+    "feasibility-extra-row": (
+        _replace_individual(feasibility=lambda ind: _one_more(
+            ind.feasibility, 0)),
+        "feasibility-tags"),
+    "feasibility-few-columns": (
+        _replace_individual(feasibility=lambda ind: ind.feasibility[:, :-1]),
+        "feasibility-tags"),
+    "event-mass-short": (
+        _replace_individual(initial=lambda ind: HealthMarking(
+            ind.initial.state_mass, ind.initial.event_mass[:-1])),
+        "initial-mass"),
+    "state-mass-long": (
+        _replace_individual(initial=lambda ind: HealthMarking(
+            np.append(ind.initial.state_mass, 0.0),
+            ind.initial.event_mass)),
+        "initial-mass"),
+}
+
+
+@pytest.mark.parametrize("replace, check", WRONG_SHAPES.values(),
+                         ids=WRONG_SHAPES.keys())
+def test_wrong_shape_rejected_before_any_event(monkeypatch, acute, replace,
+                                               check):
+    def fired(*args, **kwargs):
+        raise AssertionError("an event ran")
+
+    monkeypatch.setattr(coordination, "step", fired)
+    monkeypatch.setattr(health, "start_event", fired)
+    inputs = {"net": acute.net, "initial": acute.initial,
+              "individuals": acute.individuals, "selector": acute.selector,
+              "delivery_actions": acute.delivery_actions,
+              "health_actions": acute.health_actions}
+    with pytest.raises(ValidationError) as err:
+        inputs.update(replace(acute))
+        cosimulate(**inputs)
+    assert err.value.check == check
+
+
 def cosim_setup():
     model, net = care_system()
     hnet = branching_health_net()
@@ -753,9 +823,9 @@ class TestZeroDuration:
 
 
 class TestRank:
-    """Events sharing an instant run in the order of coordination.RANK:
-    delivery completion, health completion, delivery start, scheduled
-    health action; within a rank, in the order they were queued."""
+    """Events sharing an instant run in the order of the coordination
+    ranks: DELIVERY_COMPLETION, HEALTH_COMPLETION, DELIVERY_START,
+    HEALTH_ACTION; within a rank, in the order they were queued."""
 
     def test_zero_durations_complete_after_both_starts(self):
         data = json.loads(ACUTE.read_text(encoding="utf-8"))
@@ -906,3 +976,15 @@ def test_recorded_outcomes_match_health_outcome(request, name, mode, seed):
     for ind in compiled.individuals:
         assert last[ind.id] == health.health_outcome(
             ind.net.values, result.final_health[ind.id].state_mass)
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic", "clones"])
+def test_coupling_checks_list_the_delivery_starts(request, name):
+    compiled = (compile_scenario(load_scenario_data(
+        chronic_clones(CLONE_OFFSETS))) if name == "clones"
+        else request.getfixturevalue(name))
+    result = compiled.run()
+    assert result.coupling_checks == [
+        (row.time, row.index) for row in result.trace
+        if row.net == "delivery" and row.kind == "start"]
+    assert len(result.coupling_checks) == len(compiled.delivery_actions)

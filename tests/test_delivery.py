@@ -137,6 +137,15 @@ class TestNetTables:
         assert err.value.check == name
         assert str(err.value) == f"{name} must be nonnegative"
 
+    @pytest.mark.parametrize("capacities", [[1, 1], [1, 0, 1], [1, 1, 1, 1]],
+                             ids=["short", "zero", "long"])
+    def test_capacities_need_one_entry_of_at_least_one_per_transition(
+            self, capacities):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(net, capacities=np.array(capacities))
+        assert err.value.check == "capacities"
+
 
 def two_place_net():
     resources = [Resource(0, "clinic", F),

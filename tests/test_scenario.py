@@ -423,9 +423,15 @@ def outcome_of(data):
 # from "cross-references" to "transport-endpoints" and stopped failing a
 # second time there, which changed entries 16, 36, 62, 152, 221 and 335:
 # 120 messages moved check, and entries 36, 62, 152 and 335 each lost
-# one "needs an origin and a destination buffer" failure.
-PINNED_DIGEST = ("f4c2e80c74624d474c117d692df4f1de"
-                 "fd93c3893f214bc80c799bc633564b4f")
+# one "needs an origin and a destination buffer" failure; re-recorded
+# when a per-individual section of assumed_values naming an undeclared
+# individual became a failure, which changed entries 540 and 568
+# (chronic seeds 241 and 269, whose mutation leaves no individual
+# 'patient'): each gained three "names unknown individual 'patient'"
+# failures, one per section, before its "unknown individual" schedule
+# failures.
+PINNED_DIGEST = ("3a096065b054101e125cfd1f90519968"
+                 "238a62e8ad8e7d8daf57058429fc609e")
 
 
 def test_pinned_failure_lists_unchanged():
@@ -555,6 +561,7 @@ def _default_cost(data):
 
 
 _ENTER = "'Enter clinic @ patient'"
+_PATIENT = "individual 'patient'"
 
 # The exact failures of defects the schema accepts and compiling rejects.
 COMPILE_MESSAGES = {
@@ -599,6 +606,38 @@ COMPILE_MESSAGES = {
         _aggregated(["outside clinic"], [*CLINIC, "outside clinic"]),
         [("aggregation-partition",
           "buffer column 5 belongs to aggregates 0 and 1")]),
+    # a name in a per-individual assumed_values section must be declared
+    "state-values-unknown-individual": (
+        _set(("assumed_values", "health_state_values", "nobody"),
+             {"asymptomatic": 1.0}),
+        [("health-values",
+          "health_state_values names unknown individual 'nobody'")]),
+    "event-durations-unknown-individual": (
+        _set(("assumed_values", "health_event_durations", "nobody"),
+             {"default": 0.0}),
+        [("durations",
+          "health_event_durations names unknown individual 'nobody'")]),
+    "event-weights-unknown-individual": (
+        _set(("assumed_values", "health_event_weights", "nobody"), {}),
+        [("health-event-normalization",
+          "health_event_weights names unknown individual 'nobody'")]),
+    "event-duration-unknown-event": (
+        _set(("assumed_values", "health_event_durations", "patient",
+              "Resect tumour"), 1.0),
+        [("durations", f"{_PATIENT}: duration declared for unknown event "
+                       f"'Resect tumour'")]),
+    "event-weight-unknown-event": (
+        _set(("assumed_values", "health_event_weights", "patient",
+              "Resect tumour"), {"gross-total resection": 1.0}),
+        [("health-event-normalization",
+          f"{_PATIENT}: weights declared for unknown event "
+          f"'Resect tumour'")]),
+    "event-weight-not-deferred": (
+        _set(("assumed_values", "health_event_weights", "patient",
+              "Resect tumor"), {"gross-total resection": 1.0}),
+        [("health-event-normalization",
+          f"{_PATIENT}: event 'Resect tumor' does not defer the weight of "
+          f"branch 'gross-total resection'")]),
     "aggregation-buffer-in-none": (
         _aggregated(["outside clinic"], CLINIC[1:]),
         [("aggregation-partition",
