@@ -233,6 +233,8 @@ class RunResult:
     delivery_trajectory: list[TrajectoryPoint] = field(default_factory=list)
     outcome_series: list[tuple[float, str, float]] = field(
         default_factory=list)
+    # the delivery marking after the last firing, busy tokens included
+    final_marking: Marking | None = None
     final_health: dict[str, HealthMarking] = field(default_factory=dict)
     skipped_actions: int = 0
 
@@ -249,12 +251,6 @@ class RunResult:
         completion."""
         return [(point.time, point.cost) for point in self.delivery_trajectory
                 if point.kind != "start"]
-
-    @property
-    def final_marking(self) -> Marking | None:
-        """Delivery marking after the last firing."""
-        trajectory = self.delivery_trajectory
-        return trajectory[-1].marking if trajectory else None
 
 
 class HealthCompletion(NamedTuple):
@@ -377,7 +373,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     markings = {ind.id: ind.initial for ind in individuals}
     result = RunResult()
     result.delivery_trajectory.append(
-        TrajectoryPoint(0.0, None, "initial", initial, 0.0))
+        TrajectoryPoint(0.0, None, "initial", initial.place_tokens, 0.0))
 
     health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
     labels = [t.label for t in net.transitions]
@@ -435,7 +431,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 trace.append(TraceRow(time, "delivery", labels[psi], psi,
                                       "start"))
                 trajectory.append(TrajectoryPoint(
-                    time, psi, "start", marking, total_cost))
+                    time, psi, "start", marking.place_tokens, total_cost))
                 heappush(heap, (time + durations[psi], DELIVERY_COMPLETION,
                                 next(seq), event))
 
@@ -452,7 +448,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 trace.append(TraceRow(time, "delivery", labels[psi], psi,
                                       "complete"))
                 trajectory.append(TrajectoryPoint(
-                    time, psi, "complete", marking, total_cost))
+                    time, psi, "complete", marking.place_tokens, total_cost))
 
             elif rank == HEALTH_ACTION:
                 hnet, events = by_id[ind_id].net, event.events
@@ -504,7 +500,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         time, where, label = point.time, "delivery", labels[point.psi]
         what = "cumulative cost"
     else:
-        result.final_health = dict(markings)
+        result.final_marking, result.final_health = marking, dict(markings)
         return result
     raise SimulationError(f"at t={time}, {where} {label!r}: the {what} has "
                           f"left the finite floats", time=time, net=where,

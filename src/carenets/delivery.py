@@ -106,7 +106,7 @@ class DeliveryNet:
                           ("costs", self.costs)):
             if vec.shape != (n_trans,):
                 raise ValidationError(f"{name} must have one entry per "
-                                      f"transition")
+                                      f"transition", check=name)
             if not (vec >= 0).all():  # NaN too: no completion time is NaN
                 raise ValidationError(f"{name} must be nonnegative",
                                       check=name)
@@ -168,7 +168,8 @@ class Marking(NamedTuple):
         place = (np.zeros(net.n_places, dtype=int) if tokens is None
                  else np.asarray(list(tokens), dtype=int))
         if place.shape != (net.n_places,):
-            raise ValidationError("initial tokens must cover every place")
+            raise ValidationError("initial tokens must cover every place",
+                                  check="initial-tokens")
         if np.any(place < 0):
             raise ValidationError("initial token counts must be nonnegative",
                                   check="initial-tokens")
@@ -263,13 +264,14 @@ def state_equation(net: DeliveryNet, marking: Marking,
 
 
 class TrajectoryPoint(NamedTuple):
-    """One row of the delivery trajectory: the marking after a firing of
-    transition ``psi`` of ``kind`` ``"start"`` or ``"complete"``, and the
-    cumulative cost of the completions so far. The first point holds the
-    initial marking, with ``psi`` None and ``kind`` ``"initial"``."""
+    """One row of the delivery trajectory, as ``delivery.csv`` prints it:
+    the place tokens after a firing of transition ``psi`` of ``kind``
+    ``"start"`` or ``"complete"``, and the cumulative cost of the
+    completions so far. The first point holds the initial place tokens,
+    with ``psi`` None and ``kind`` ``"initial"``."""
 
     time: float
     psi: int | None
     kind: str
-    marking: Marking
+    place_tokens: np.ndarray
     cost: float

@@ -93,7 +93,7 @@ class HealthNet:
                     check="health-event-normalization")
         if self.values.shape != (ns,):
             raise ValidationError("value vector must have one entry per "
-                                  "state")
+                                  "state", check="health-values")
         if _outside_unit(self.values):
             raise ValidationError("state values must lie in [0, 1]",
                                   check="health-values")

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .coordination import RunResult
+from .errors import ValidationError
 from .scenario import CompiledScenario, ScenarioDocument, compile_scenario
 
 #: The report files of one run, and the table a ``--runs`` directory adds;
@@ -66,13 +67,12 @@ def write_delivery_csv(path: Path, result: RunResult,
     joined: dict[bytes, str] = {}
     places = "".join(f"{_quote(f'place:{name}')}," for name in place_names)
     rows = [f"time,event_index,psi,kind,{places}cumulative_cost\r\n"]
-    for index, (time, psi, kind, marking, cost) in enumerate(
+    for index, (time, psi, kind, place_tokens, cost) in enumerate(
             result.delivery_trajectory):
-        key = marking.place_tokens.tobytes()
+        key = place_tokens.tobytes()
         tokens = joined.get(key)
         if tokens is None:
-            tokens = joined[key] = "".join(
-                f"{int(c)}," for c in marking.place_tokens)
+            tokens = joined[key] = "".join(f"{int(c)}," for c in place_tokens)
         rows.append(f"{times[time]},{index},{'' if psi is None else psi},"
                     f"{kind},{tokens}{times[cost]}\r\n")
     path.write_text("".join(rows), encoding="utf-8", newline="")
@@ -127,38 +127,32 @@ def write_run(out_dir: Path, compiled: CompiledScenario, result: RunResult,
 
 def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
                     out_dir: str | Path, runs: int = 1) -> Path:
-    """Run a scenario and write its report files under ``out_dir``.
-
-    With ``runs`` greater than one, independent runs seeded ``seed``,
-    ``seed + 1``, ... execute one after another, each writing into its own
-    subdirectory, and their summary statistics merge into a top-level runs
-    table. If a run or a write fails, whatever the exception, the report
-    files written so far are removed, and so is every directory that did
-    not exist before.
+    """Run a scenario ``runs`` times, seeded ``seed``, ``seed + 1``, ...,
+    and write each run as it finishes: into ``out_dir`` for one run, else
+    into ``run_000``, ``run_001``, ... under it, with a top-level runs
+    table and summary. Only a run's summary row outlives its write, so
+    memory does not grow with ``runs``. A ``runs`` below 1 raises
+    :class:`ValidationError` before anything runs. If a run or a write
+    fails, whatever the exception, the report files written so far are
+    removed, and so is every directory that did not exist before.
     """
+    if runs < 1:
+        raise ValidationError(f"runs must be at least 1, got {runs}")
     out_dir = Path(out_dir)
     compiled = compile_scenario(doc)
-    touched: list[tuple[Path, bool]] = []
-
-    def claim(directory: Path) -> Path:
-        touched.append((directory, directory.is_dir()))
-        return directory
-
+    touched = [(out_dir, out_dir.is_dir())]  # (directory, existed before)
     try:
-        if runs <= 1:
-            result = compiled.run(mode=mode, seed=seed)
-            write_run(claim(out_dir), compiled, result, mode, seed)
-            return out_dir
-
-        results = [compiled.run(mode=mode, seed=seed + k)
-                   for k in range(runs)]
-        claim(out_dir)
         rows = []
-        for k, result in enumerate(results):
-            write_run(claim(out_dir / f"run_{k:03d}"), compiled, result,
-                      mode, seed + k)
+        for k in range(runs):
+            run_dir = out_dir if runs == 1 else out_dir / f"run_{k:03d}"
+            touched.append((run_dir, run_dir.is_dir()))
+            result = compiled.run(mode=mode, seed=seed + k)
+            write_run(run_dir, compiled, result, mode, seed + k)
             rows.append((k, seed + k, result.delivery_trajectory[-1].cost,
                          final_outcome_by_individual(result)))
+            del result  # one result alive at a time
+        if runs == 1:
+            return out_dir
 
         ids = [ind.id for ind in compiled.individuals]
         with (out_dir / RUNS).open("w", encoding="utf-8",

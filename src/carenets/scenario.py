@@ -569,14 +569,11 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
     return model
 
 
-def _per_dof(model: StructuralModel, table: dict[str, float], what: str,
-             col: _Collector) -> np.ndarray:
+def _per_dof(dof_keys: dict[str, int], size: int, table: dict[str, float],
+             what: str, col: _Collector) -> np.ndarray:
     default = table.get(DEFAULT_KEY)
-    out = np.zeros(model.dof_count)
-    known = {DEFAULT_KEY}
-    for psi, (w, v) in enumerate(model.dof_list):
-        key = dof_key(model.processes[w].name, model.resources[v].name)
-        known.add(key)
+    out = np.zeros(size)
+    for key, psi in dof_keys.items():
         value = table.get(key, default)
         if value is None:
             col.add(what, f"no {what.rstrip('s')} declared for {key!r} and "
@@ -586,7 +583,7 @@ def _per_dof(model: StructuralModel, table: dict[str, float], what: str,
         else:
             out[psi] = value
     for key in table:
-        if key not in known:
+        if key != DEFAULT_KEY and key not in dof_keys:
             col.add(what, f"{what} table names unknown capability {key!r}")
     return out
 
@@ -700,13 +697,20 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
         return None
 
     assumed = data.get("assumed_values", {})
-    durations = _per_dof(model, assumed.get("durations", {}), "durations",
-                         col)
-    costs = _per_dof(model, assumed.get("costs", {}), "costs", col)
+    dof_keys: dict[str, int] = {}
+    pairs = [(p.name, r.name) for _, p, r in model.dof_table()]
+    for psi, pair in enumerate(pairs):
+        first = dof_keys.setdefault(dof_key(*pair), psi)
+        if first != psi:  # the names join into a key already taken
+            col.add("cross-references",
+                    f"{pairs[first][0]!r} at {pairs[first][1]!r} and "
+                    f"{pair[0]!r} at {pair[1]!r} share the capability key "
+                    f"{dof_key(*pair)!r}")
+    durations, costs = (
+        _per_dof(dof_keys, model.dof_count, assumed.get(what, {}), what, col)
+        for what in ("durations", "costs"))
 
     capacities = np.ones(model.dof_count, dtype=int)
-    dof_keys = {dof_key(model.processes[w].name, model.resources[v].name): i
-                for i, (w, v) in enumerate(model.dof_list)}
     for key, cap in data.get("transition_capacities", {}).items():
         if key not in dof_keys:
             col.add("capacities", f"capacity names unknown capability "

@@ -240,6 +240,17 @@ def completion_counts(result: RunResult, n_transitions: int) -> np.ndarray:
                        minlength=n_transitions)
 
 
+def point_totals(result: RunResult, initial: Marking) -> list[int]:
+    """Token total at each trajectory point: its place tokens, plus the
+    busy tokens of ``initial``, plus the starts minus the completions so
+    far."""
+    busy, totals = int(initial.busy_tokens.sum()), []
+    for point in result.delivery_trajectory:
+        busy += (point.kind == "start") - (point.kind == "complete")
+        totals.append(int(point.place_tokens.sum()) + busy)
+    return totals
+
+
 class Observed(NamedTuple):
     """A kernel run and the health markings it went through: ``starts``
     holds (marking before, event) for each health start in trace order,
@@ -415,7 +426,7 @@ def oracle_write_delivery_csv(path: Path, result: RunResult,
         for index, point in enumerate(result.delivery_trajectory):
             psi = "" if point.psi is None else point.psi
             writer.writerow([_fmt(point.time), index, psi, point.kind]
-                            + [int(c) for c in point.marking.place_tokens]
+                            + [int(c) for c in point.place_tokens]
                             + [_fmt(point.cost)])
 
 

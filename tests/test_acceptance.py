@@ -19,7 +19,7 @@ from carenets.reports import simulate_to_dir
 
 from helpers import (ACUTE, CHRONIC, assert_coupled_and_conserved,
                      completion_counts, observe, oracle_incidence,
-                     random_delivery_net, random_feasible_schedule,
+                     point_totals, random_delivery_net, random_feasible_schedule,
                      random_health_net, random_health_walk, random_model,
                      step_replay)
 
@@ -69,9 +69,9 @@ def test_criterion_03_incidence_oracle_equivalence():
 def test_criterion_04_token_conservation(acute, chronic):
     for compiled in (acute, chronic):
         result = compiled.run(mode="replay")
-        totals = {point.marking.total
-                  for point in result.delivery_trajectory}
+        totals = set(point_totals(result, compiled.initial))
         assert totals == {compiled.initial.total}
+        assert result.final_marking.total == compiled.initial.total
 
     rng = np.random.default_rng(404)
     checked = 0

@@ -27,7 +27,8 @@ from carenets.structure import (Process, Resource, ResourceClass,
 
 from helpers import (ACUTE, CHRONIC, CLONE_OFFSETS,
                      assert_coupled_and_conserved, chronic_clones,
-                     completion_counts, observe, run_starts)
+                     Firing, completion_counts, observe, point_totals,
+                     run_starts, step_replay)
 
 STOCH = HealthEventKind.STOCHASTIC
 INDUCED = HealthEventKind.INDUCED
@@ -905,8 +906,9 @@ def _run(compiled, net, delivery, health, mode):
 def _assert_invariants(compiled, net, observed):
     result = observed.result
     points = result.delivery_trajectory
-    assert {point.marking.total for point in points} == \
+    assert set(point_totals(result, compiled.initial)) == \
         {compiled.initial.total}
+    assert result.final_marking.total == compiled.initial.total
     # one point per delivery firing after the initial one, each carrying
     # the running cost of the completions so far
     assert (points[0].psi, points[0].kind) == (None, "initial")
@@ -988,3 +990,24 @@ def test_coupling_checks_list_the_delivery_starts(request, name):
         (row.time, row.index) for row in result.trace
         if row.net == "delivery" and row.kind == "start"]
     assert len(result.coupling_checks) == len(compiled.delivery_actions)
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic", "clones"])
+@pytest.mark.parametrize("mode", ["replay", "sample"])
+def test_trajectory_tokens_match_a_step_replay_of_the_trace(request, name,
+                                                            mode):
+    compiled = (compile_scenario(load_scenario_data(
+        chronic_clones(CLONE_OFFSETS))) if name == "clones"
+        else request.getfixturevalue(name))
+    result = compiled.run(mode=mode, seed=7)
+    markings = step_replay(compiled.net, [
+        Firing(row.index, row.kind, row.time) for row in result.trace
+        if row.net == "delivery"], compiled.initial)
+    points = result.delivery_trajectory
+    assert len(points) == len(markings)
+    for point, marking in zip(points, markings):
+        assert np.array_equal(point.place_tokens, marking.place_tokens)
+    assert np.array_equal(result.final_marking.place_tokens,
+                          markings[-1].place_tokens)
+    assert np.array_equal(result.final_marking.busy_tokens,
+                          markings[-1].busy_tokens)

@@ -146,6 +146,24 @@ class TestNetTables:
             dataclasses.replace(net, capacities=np.array(capacities))
         assert err.value.check == "capacities"
 
+    # a vector of the wrong length goes under the check of a bad entry in it
+    @pytest.mark.parametrize("check, build, message", [
+        ("durations",
+         lambda net: dataclasses.replace(net, durations=np.ones(2)),
+         "durations must have one entry per transition"),
+        ("costs", lambda net: dataclasses.replace(net, costs=np.ones(4)),
+         "costs must have one entry per transition"),
+        ("initial-tokens", lambda net: Marking.initial(net, [1]),
+         "initial tokens must cover every place")],
+        ids=["durations", "costs", "initial-tokens"])
+    def test_wrong_length_filed_under_the_vector_check(self, check, build,
+                                                       message):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            build(net)
+        assert err.value.check == check
+        assert str(err.value) == message
+
 
 def two_place_net():
     resources = [Resource(0, "clinic", F),
@@ -309,10 +327,12 @@ class TestSimulate:
     def test_empty_schedule(self):
         model, net = two_place_net()
         marking = Marking.initial(net, [1, 0])
-        trajectory = run_starts(model, net, marking, []).delivery_trajectory
+        result = run_starts(model, net, marking, [])
+        trajectory = result.delivery_trajectory
         assert len(trajectory) == 1
         assert trajectory[0].time == 0.0
-        assert trajectory[0].marking is marking
+        assert trajectory[0].place_tokens is marking.place_tokens
+        assert result.final_marking is marking
 
     def test_infeasible_schedule_reports_context(self):
         model, net = two_place_net()

@@ -316,6 +316,14 @@ class TestValidation:
             HealthNet(("a", "b"), (HealthEvent(0, "e", STOCH),), **arrays)
         assert err.value.check == check
 
+    def test_values_of_wrong_length_filed_under_health_values(self):
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), (HealthEvent(0, "e", STOCH),),
+                      np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+                      np.array([1.0, 0.0, 0.5]))
+        assert err.value.check == "health-values"
+        assert str(err.value) == "value vector must have one entry per state"
+
     def test_induced_without_realizer_rejected(self):
         with pytest.raises(ValidationError):
             HealthNet(("a", "b"),

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from carenets import reports
 from carenets.cli import main
 from carenets.coordination import RunResult, TraceRow
-from carenets.delivery import Marking, TrajectoryPoint
-from carenets.scenario import compile_scenario, load_scenario
+from carenets.delivery import TrajectoryPoint
+from carenets.errors import SimulationError, ValidationError
+from carenets.scenario import (CompiledScenario, compile_scenario,
+                               load_scenario)
 
 from helpers import (ACUTE, CHRONIC, oracle_write_delivery_csv,
                      oracle_write_outcomes_csv, oracle_write_trace_csv)
@@ -87,6 +89,71 @@ class TestSimulateToDirCleanup:
         assert not (tmp_path / "new").exists()
 
 
+@pytest.fixture
+def replicates(monkeypatch):
+    """Wrap ``CompiledScenario.run`` to record, at each call, which report
+    files exist under ``replicates.out``, and to raise ``SimulationError``
+    at call number ``replicates.fail_at`` (counting from 0), if set."""
+    state = SimpleNamespace(out=None, fail_at=None, seen=[])
+    real = CompiledScenario.run
+
+    def run(self, mode="replay", seed=0):
+        if state.fail_at == len(state.seen):
+            raise SimulationError("replicate failed")
+        state.seen.append(report_files(state.out) if state.out.is_dir()
+                          else [])
+        return real(self, mode=mode, seed=seed)
+
+    monkeypatch.setattr(CompiledScenario, "run", run)
+    return state
+
+
+def run_dirs(n):
+    """The relative paths of ``run_000`` to ``run_{n-1}`` and their four
+    report files, sorted as ``report_files`` lists them."""
+    return sorted(path for k in range(n) for path in (
+        f"run_{k:03d}", *(f"run_{k:03d}/{name}"
+                          for name in reports.REPORT_FILES[:4])))
+
+
+class TestSimulateToDirRuns:
+    def test_each_replicate_is_written_before_the_next_starts(
+            self, tmp_path, replicates):
+        replicates.out = out = tmp_path / "mc"
+        assert main(["simulate", str(CHRONIC), "--mode", "sample", "--runs",
+                     "4", "--out", str(out)]) == 0
+        assert replicates.seen == [run_dirs(k) for k in range(4)]
+        assert report_files(out) == sorted(
+            run_dirs(4) + [reports.RUNS, reports.SUMMARY])
+
+    def test_failed_replicate_removes_every_run(self, tmp_path, replicates):
+        replicates.out = out = tmp_path / "mc"
+        replicates.fail_at = 2
+        out.mkdir()
+        (out / "keep.txt").write_text("mine", encoding="utf-8")
+        with pytest.raises(SimulationError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out,
+                                    runs=4)
+        assert report_files(out) == ["keep.txt"]
+        assert len(replicates.seen) == 2
+
+        replicates.out, replicates.seen = tmp_path / "new", []
+        with pytest.raises(SimulationError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
+                                    tmp_path / "new", runs=4)
+        assert replicates.seen == [run_dirs(0), run_dirs(1)]
+        assert not (tmp_path / "new").exists()
+
+    def test_zero_runs_rejected_before_anything_runs(self, tmp_path,
+                                                     replicates):
+        replicates.out = out = tmp_path / "mc"
+        with pytest.raises(ValidationError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out,
+                                    runs=0)
+        assert replicates.seen == []
+        assert not out.exists()
+
+
 # Strings that csv.writer quotes (comma, quote, CR, LF) or passes through
 # (space, tab, non-ASCII), mixed with any other encodable character.
 _TEXT = st.text(st.sampled_from(',"\r\n \tAé中;') | st.characters(
@@ -116,16 +183,15 @@ def run_results(draw):
     tokens = st.lists(st.integers(0, 10 ** 6), min_size=len(places),
                       max_size=len(places))
 
-    def marking():
-        return Marking(np.array(draw(tokens), dtype=int),
-                       np.zeros(2, dtype=int))
+    def place_tokens():
+        return np.array(draw(tokens), dtype=int)
 
     result.delivery_trajectory.append(
-        TrajectoryPoint(0.0, None, "initial", marking(), draw(_FLOAT)))
+        TrajectoryPoint(0.0, None, "initial", place_tokens(), draw(_FLOAT)))
     for _ in range(draw(st.integers(0, 10))):
         result.delivery_trajectory.append(TrajectoryPoint(
             draw(_FLOAT), draw(st.integers(0, 40)),
-            draw(st.sampled_from(["start", "complete"])), marking(),
+            draw(st.sampled_from(["start", "complete"])), place_tokens(),
             draw(_FLOAT)))
 
     for _ in range(draw(st.integers(0, 10))):

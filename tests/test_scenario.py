@@ -560,6 +560,18 @@ def _default_cost(data):
     costs["default"] = -1.0
 
 
+def _shared_key(data):
+    """Processes ``a`` and ``a @ b`` at resources ``b @ c`` and ``c``: both
+    pairs join into the key ``a @ b @ c``."""
+    data["resources"] += [{"name": "b @ c", "class": "measurement"},
+                          {"name": "c", "class": "measurement"}]
+    data["processes"] += [{"name": "a", "class": "measurement"},
+                          {"name": "a @ b", "class": "measurement"}]
+    data["knowledge_base"] += [["a", "b @ c"], ["a @ b", "c"]]
+    for table in ("durations", "costs"):
+        data["assumed_values"][table]["a @ b @ c"] = 1.0
+
+
 _ENTER = "'Enter clinic @ patient'"
 _PATIENT = "individual 'patient'"
 
@@ -642,6 +654,10 @@ COMPILE_MESSAGES = {
         _aggregated(["outside clinic"], CLINIC[1:]),
         [("aggregation-partition",
           "buffer columns [0] belong to no aggregate")]),
+    "capability-key-shared": (
+        _shared_key,
+        [("cross-references", "'a' at 'b @ c' and 'a @ b' at 'c' share the "
+                              "capability key 'a @ b @ c'")]),
 }
 
 
