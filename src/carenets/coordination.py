@@ -194,9 +194,9 @@ class DeliveryAction:
 class HealthAction:
     """Scheduled spontaneous health event.
 
-    ``events`` lists candidate stochastic events; exactly one must be
-    enabled when the action fires. Optional actions are skipped when no
-    candidate is enabled.
+    ``events`` lists one or more distinct candidate stochastic events;
+    exactly one must be enabled when the action fires. Optional actions
+    are skipped when no candidate is enabled.
     """
 
     time: float
@@ -325,6 +325,9 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                    f"transitions")
     for action in health_actions:
         events = by_id[action.individual].net.events
+        if not action.events or len(set(action.events)) != len(action.events):
+            raise rejected(action, f"events {list(action.events)} must name "
+                                   f"at least one event, each once")
         for ev in action.events:
             if not 0 <= ev < len(events):
                 raise rejected(action, f"event {ev} is out of range for a "

@@ -165,13 +165,25 @@ class Marking(NamedTuple):
     @classmethod
     def initial(cls, net: DeliveryNet,
                 tokens: Iterable[int] | None = None) -> "Marking":
-        place = (np.zeros(net.n_places, dtype=int) if tokens is None
-                 else np.asarray(list(tokens), dtype=int))
+        """The marking with ``tokens`` at the places and none in flight.
+        One place can come to hold every token, so the total, summed
+        exactly, must fit the int64 counts too."""
+        try:
+            place = (np.zeros(net.n_places, dtype=int) if tokens is None
+                     else np.asarray(list(tokens), dtype=int))
+        except OverflowError:
+            raise ValidationError("initial token counts must fit in 64 "
+                                  "bits", check="initial-tokens") from None
         if place.shape != (net.n_places,):
             raise ValidationError("initial tokens must cover every place",
                                   check="initial-tokens")
         if np.any(place < 0):
             raise ValidationError("initial token counts must be nonnegative",
+                                  check="initial-tokens")
+        total = sum(place.tolist())
+        if total > np.iinfo(place.dtype).max:
+            raise ValidationError(f"initial token counts total {total}, "
+                                  f"more than 64 bits hold",
                                   check="initial-tokens")
         return cls(place, np.zeros(net.n_transitions, dtype=int))
 

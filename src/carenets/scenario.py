@@ -9,8 +9,8 @@ fixed by the case) live together in a clearly marked ``assumed_values``
 section.
 
 Loading checks the parsed JSON against one declarative schema
-(:data:`SCHEMA`), then compiles the normalized data, and reports every
-failure found, not just the first one. The schema is compiled once, at
+(:data:`SCHEMA`) in place, then compiles that same data, and reports
+every failure found, not just the first one. The schema is compiled once, at
 import, into checker closures; the path of a failing value (such as
 ``schedule[12].time``) is formatted only when a failure is recorded.
 """
@@ -102,8 +102,9 @@ class _Collector:
 #   - (key, node_a, node_b): node_a for an object holding key, else node_b.
 #
 # _checker compiles SCHEMA once, at import, into nested checker closures.
-# A container normalizes its scalar items itself rather than through a
-# checker per item, and passes each container item its path as a
+# A checker only records failures: it changes and copies nothing. A
+# container checks its scalar items itself rather than through a checker
+# per item, and passes each container item its path as a
 # (parent path, key) pair; _where formats a path only when a failure is
 # recorded.
 #
@@ -160,61 +161,52 @@ SCHEMA = {
 }
 
 
-_BAD = object()
-
-
-def _number(value):
+def _number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return _BAD
+        return False
     try:
-        value = float(value)
-    except OverflowError:
-        return _BAD
-    return value if math.isfinite(value) else _BAD
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
-def _time(value):
-    value = _number(value)
-    return _BAD if value is _BAD or value < 0 else value
+def _time(value) -> bool:
+    return _number(value) and value >= 0
 
 
-def _count(value):
-    whole = isinstance(value, int) and not isinstance(value, bool)
-    return value if whole and -2 ** 63 <= value < 2 ** 63 else _BAD
+def _count(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and -2 ** 63 <= value < 2 ** 63)
 
 
-def _string(value):
-    """``value`` if it is a string that UTF-8 can encode, else _BAD. A JSON
+def _string(value) -> bool:
+    """Whether ``value`` is a string that UTF-8 can encode. A JSON
     ``\\ud800`` escape can put a lone surrogate in a string, and UTF-8
     cannot encode one."""
     if not isinstance(value, str):
-        return _BAD
+        return False
     if value.isascii():
-        return value
+        return True
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        return _BAD
-    return value
+        return False
+    return True
 
 
-def _names(value, size=None):
-    ok = (isinstance(value, list) and value
-          and all(_string(x) is not _BAD for x in value)
-          and size in (None, len(value)))
-    return value if ok else _BAD
+def _names(value, size=None) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(map(_string, value)) and size in (None, len(value)))
 
 
-#: Scalar name -> (normalize a value or return _BAD, what a valid one is).
+#: Scalar name -> (whether a value is valid, what a valid one is).
 _SCALARS = {
     "string": (_string, "a string"),
-    "boolean": (lambda v: v if isinstance(v, bool) else _BAD,
-                "true or false"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
     "count": (_count, "a whole number"),
     "number": (_number, "a finite number"),
     # a branch weight; null defers it to the assumed-values section
-    "deferred": (lambda v: None if v is None else _number(v),
-                 "a finite number"),
+    "deferred": (lambda v: v is None or _number(v), "a finite number"),
     "time": (_time, "a finite number >= 0"),
     "pair": (lambda v: _names(v, size=2), "a [process, resource] pair"),
     "names": (_names, "a nonempty list of names"),
@@ -257,7 +249,7 @@ def _unencodable(value) -> str | None:
     """The string, or first string of a list, that UTF-8 cannot encode."""
     items = value if isinstance(value, list) else [value]
     return next((item for item in items if isinstance(item, str)
-                 and _string(item) is _BAD), None)
+                 and not _string(item)), None)
 
 
 def _not_utf8(col: _Collector, path, text: str, key: bool = False) -> None:
@@ -270,7 +262,7 @@ def _encodable_keys(value: dict, path, col: _Collector) -> dict:
     that no failure path holds one."""
     kept = {}
     for key, item in value.items():
-        if isinstance(key, str) and _string(key) is _BAD:
+        if isinstance(key, str) and not _string(key):
             _not_utf8(col, path, key, key=True)
         else:
             kept[key] = item
@@ -278,10 +270,10 @@ def _encodable_keys(value: dict, path, col: _Collector) -> dict:
 
 
 def _child(node):
-    """(normalize, expected, None) for a scalar node, checked inline by
-    its container; (None, None, checker) for any other node."""
+    """(valid, expected, None) for a scalar node, checked inline by its
+    container; (None, None, checker) for any other node."""
     if isinstance(node, set):
-        return ((lambda v: v if isinstance(v, str) and v in node else _BAD),
+        return ((lambda v: isinstance(v, str) and v in node),
                 f"one of {sorted(node)}", None)
     if isinstance(node, str) and node in _SCALARS:
         return (*_SCALARS[node], None)
@@ -289,77 +281,69 @@ def _child(node):
 
 
 def _weights(weight_node: str):
-    """Checker normalizing what a health event consumes or produces to a
-    mapping of state to weight: a state name weighs one, a list of states
-    splits equally over the branches, and a mapping gives each weight,
-    checked against ``weight_node``."""
+    """Checker for what a health event consumes or produces: a state name,
+    a list of states, or a mapping of state to a weight that matches
+    ``weight_node`` (:func:`_weight_map` reads each form)."""
     weight_map = _mapping(weight_node)
 
     def check(value, path, col):
         if isinstance(value, str):
-            if _string(value) is _BAD:
+            if not _string(value):
                 _not_utf8(col, path, value)
-            return {value: 1.0}
-        if isinstance(value, list):
-            if _names(value) is _BAD:
+        elif isinstance(value, list):
+            if not _names(value):
                 unencodable = _unencodable(value)
                 if unencodable is not None:
                     _not_utf8(col, path, unencodable)
                 else:
                     col.add("schema",
                             f"{_where(path)}: branch list must name states")
-                return None
-            return dict.fromkeys(value, 1.0 / len(value))
-        if isinstance(value, dict):
-            return weight_map(value, path, col)
-        _expected(col, path, "a state, a list of states, or a mapping",
-                  value)
-        return None
+        elif isinstance(value, dict):
+            weight_map(value, path, col)
+        else:
+            _expected(col, path, "a state, a list of states, or a mapping",
+                      value)
     return check
 
 
 def _list(item_node):
-    normalize, what, item_check = _child(item_node)
+    valid, what, item_check = _child(item_node)
 
     def check(value, path, col):
         if not isinstance(value, list):
             _expected(col, path, "a list", value)
-            return None
-        if item_check is not None:
-            return [item_check(item, (path, i), col)
-                    for i, item in enumerate(value)]
-        out = list(map(normalize, value))
-        for i, norm in enumerate(out):
-            if norm is _BAD:
-                _expected(col, (path, i), what, value[i])
-        return out
+        elif item_check is not None:
+            for i, item in enumerate(value):
+                item_check(item, (path, i), col)
+        else:
+            for i, item in enumerate(value):
+                if not valid(item):
+                    _expected(col, (path, i), what, item)
     return check
 
 
 def _mapping(item_node):
-    normalize, what, item_check = _child(item_node)
+    valid, what, item_check = _child(item_node)
 
     def check(value, path, col):
         if not isinstance(value, dict):
             _expected(col, path, "an object", value)
-            return None
+            return
         if not all(isinstance(key, str) and key.isascii() for key in value):
             value = _encodable_keys(value, path, col)
         if item_check is not None:
-            return {key: item_check(item, (path, key), col)
-                    for key, item in value.items()}
-        out = {}
-        for key, item in value.items():
-            out[key] = norm = normalize(item)
-            if norm is _BAD:
-                _expected(col, (path, key), what, item)
-        return out
+            for key, item in value.items():
+                item_check(item, (path, key), col)
+        else:
+            for key, item in value.items():
+                if not valid(item):
+                    _expected(col, (path, key), what, item)
     return check
 
 
 def _fields(node: dict):
     """(fields, names, any_of) of an object node, where each field is
-    (key, required, normalize, expected, checker) as _child gives them."""
+    (key, required, valid, expected, checker) as _child gives them."""
     fields = tuple((key.rstrip("?"), key[-1] != "?", *_child(sub))
                    for key, sub in node.items() if key != "$any_of")
     return (fields, frozenset(field[0] for field in fields),
@@ -376,17 +360,14 @@ def _object(node: dict, switch: str | None = None,
     def check(value, path, col):
         if not isinstance(value, dict):
             _expected(col, path, "an object", value)
-            return None
+            return
         fields, names, any_of = other if switch in value else plain
-        out = {}
-        for key, required, normalize, what, sub in fields:
+        for key, required, valid, what, sub in fields:
             if key in value:
                 item = value[key]
                 if sub is not None:
-                    out[key] = sub(item, (path, key), col)
-                    continue
-                out[key] = norm = normalize(item)
-                if norm is _BAD:
+                    sub(item, (path, key), col)
+                elif not valid(item):
                     _expected(col, (path, key), what, item)
             elif required:
                 col.add("schema", f"{_where(path) or 'document'}: missing "
@@ -398,15 +379,13 @@ def _object(node: dict, switch: str | None = None,
         if any_of and not any(key in value for key in any_of):
             col.add("schema",
                     f"{_where(path)}: needs one of {list(any_of)}")
-        return out
     return check
 
 
 def _checker(node):
     """Compile a container schema node into ``check(value, path, col)``,
-    which returns ``value`` normalized and adds every failure to ``col``
-    under check ``schema``; the result is only meaningful when none was
-    added."""
+    which adds every failure of ``value`` to ``col`` under check
+    ``schema`` and changes nothing."""
     if node == "weights":
         return _weights("number")
     if node == "branches":
@@ -426,8 +405,8 @@ _ROOT = _checker(SCHEMA)
 
 @dataclass(frozen=True)
 class ScenarioDocument:
-    """A scenario that passed the schema, as normalized JSON data: every
-    number a float except counts, and consumes/produces as mappings."""
+    """A scenario that passed the schema: ``data`` is the parsed JSON
+    itself, not a copy, so callers must not mutate it after loading."""
 
     data: dict[str, Any]
 
@@ -602,6 +581,17 @@ def _net_tables(ind: dict, assumed: dict) -> tuple[dict, dict, dict]:
                  for section in _NET_TABLES)
 
 
+def _weight_map(value) -> dict:
+    """What a health event consumes or produces, as a mapping of state to
+    weight: a state name weighs one, a list of states splits equally over
+    the branches, and a mapping gives each weight (None defers it)."""
+    if isinstance(value, str):
+        return {value: 1.0}
+    if isinstance(value, list):
+        return dict.fromkeys(value, 1.0 / len(value))
+    return value
+
+
 def _build_health_net(ind: dict, assumed: dict,
                       col: _Collector) -> HealthNet | None:
     where = f"individual {ind['id']!r}"
@@ -632,8 +622,9 @@ def _build_health_net(ind: dict, assumed: dict,
     m_minus = np.zeros((len(states), len(specs)))
     m_plus = np.zeros((len(states), len(specs)))
     events = []
+    branches = [_weight_map(spec["produces"]) for spec in specs]
     for j, spec in enumerate(specs):
-        for state, weight in spec["consumes"].items():
+        for state, weight in _weight_map(spec["consumes"]).items():
             if state not in index:
                 col.add("health-states",
                         f"{where}: event {spec['name']!r} consumes unknown "
@@ -642,7 +633,7 @@ def _build_health_net(ind: dict, assumed: dict,
             else:
                 m_minus[index[state], j] = weight
         deferred = weights.get(spec["name"], {})
-        for state, weight in spec["produces"].items():
+        for state, weight in branches[j].items():
             if state not in index:
                 col.add("health-states",
                         f"{where}: event {spec['name']!r} produces unknown "
@@ -663,8 +654,8 @@ def _build_health_net(ind: dict, assumed: dict,
         events.append(HealthEvent(
             j, spec["name"], _EVENT_KINDS[spec["kind"]],
             realized_by=tuple(spec.get("realized_by", ())),
-            duration=duration))
-    produces = {spec["name"]: spec["produces"] for spec in specs}
+            duration=float(duration)))
+    produces = {spec["name"]: out for spec, out in zip(specs, branches)}
     for name in durations:
         if name != DEFAULT_KEY and name not in produces:
             col.add("durations",
@@ -738,7 +729,11 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                                       f"negative")
         else:
             tokens[place_index[name]] = count
-    initial = Marking.initial(net, tokens)
+    try:
+        initial = Marking.initial(net, tokens)
+    except ValidationError as exc:  # a total that int64 cannot hold
+        col.grab(exc)
+        initial = None
 
     transform_names = [p.name for p in model.transformation_processes]
     selector = coordination.build_transform_selector(model)
@@ -807,7 +802,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     health_actions = []
     last_time = None
     for i, entry in enumerate(data.get("schedule", [])):
-        time = entry["time"]
+        time = float(entry["time"])
         if last_time is not None and time < last_time:
             col.add("schedule-order",
                     f"schedule[{i}]: time {time} precedes the previous "
@@ -837,6 +832,14 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                         f"schedule[{i}]: {key!r} is not an available "
                         f"capability")
                 continue
+            if (outcome is not None
+                    and entry["process"] not in transform_names):
+                # only a transformation starts a health event, whose
+                # branch the outcome names; the kernel ignores any other
+                col.add("schedule-references",
+                        f"schedule[{i}]: {key!r} realizes no health event, "
+                        f"so it takes no outcome")
+                continue
             delivery_actions.append(DeliveryAction(
                 time, dof_keys[key], entry["individual"], outcome))
         else:
@@ -844,9 +847,14 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
             ok = True
             names = ([entry["event"]] if "event" in entry
                      else entry["event_group"])
-            for name in names:
+            for k, name in enumerate(names):
                 index = event_index.get(name)
-                if index is None:
+                if name in names[:k]:
+                    col.add("schedule-references",
+                            f"schedule[{i}]: event group names {name!r} "
+                            f"twice")
+                    ok = False
+                elif index is None:
                     col.add("schedule-references",
                             f"schedule[{i}]: unknown health event {name!r}")
                     ok = False
@@ -877,17 +885,21 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
 def load_scenario_data(data: Any) -> ScenarioDocument:
     """Schema-check and compile already-parsed JSON data.
 
-    Raises :class:`ScenarioError` carrying every failure found.
+    The returned document wraps ``data`` itself: loading neither copies
+    nor changes it, and callers must not mutate it after loading, since
+    compiling the document reads it again. Raises :class:`ScenarioError`
+    carrying every failure found.
     """
     col = _Collector()
-    doc = ScenarioDocument(_ROOT(data, (), col))
-    if not col and doc.data["schema_version"] != SCHEMA_VERSION:
+    _ROOT(data, (), col)
+    if not col and data["schema_version"] != SCHEMA_VERSION:
         col.add("schema", f"unsupported schema_version "
-                          f"{doc.data['schema_version']}; this engine reads "
+                          f"{data['schema_version']}; this engine reads "
                           f"version {SCHEMA_VERSION}")
     if col:
         col.skip(_after("schema"))
         raise col.error()
+    doc = ScenarioDocument(data)
     compiled = _compile(doc, col)
     if compiled is None:
         col.skip(("projection-identity",))

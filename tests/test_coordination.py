@@ -633,11 +633,34 @@ class TestCosimulate:
         assert result.skipped_actions == 1
         assert result.trace == []
 
-    def test_duplicate_enabled_candidates_are_ambiguous(self):
+    @pytest.mark.parametrize("events", [(), (0, 0)],
+                             ids=["empty", "repeated"])
+    def test_empty_or_repeated_events_rejected_at_entry(self, events):
+        # a ValidationError, not the SimulationError that the loop raises,
+        # shows that no event ran
         _, net, individual, selector, initial, _ = cosim_setup()
-        with pytest.raises(SimulationError):
+        with pytest.raises(ValidationError) as err:
             cosimulate(net, initial, [individual], selector, [],
-                       [HealthAction(1.0, "p1", (0, 0))])
+                       [HealthAction(1.0, "p1", events)])
+        assert str(err.value) == (
+            f"health action at t=1.0 for individual 'p1': events "
+            f"{list(events)} must name at least one event, each once")
+
+    def test_two_enabled_scheduled_events_are_ambiguous(self):
+        _, net, _, selector, initial, _ = cosim_setup()
+        hnet = HealthNet(("well", "x", "y"),
+                         (HealthEvent(0, "to x", STOCH),
+                          HealthEvent(1, "to y", STOCH)),
+                         np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+                         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                         np.array([1.0, 0.5, 0.5]))
+        individual = Individual("p1", hnet, HealthMarking.point(hnet, "well"),
+                                build_feasibility(hnet, ["therapy"]))
+        with pytest.raises(SimulationError) as err:
+            cosimulate(net, initial, [individual], selector, [],
+                       [HealthAction(1.0, "p1", (0, 1))])
+        assert isinstance(err.value.__cause__, AmbiguousHealthEventError)
+        assert err.value.label == "to x | to y"
 
     def test_schedule_without_transformation_processes(self):
         model = StructuralModel.build([Resource(0, "lab", M)],

@@ -164,6 +164,19 @@ class TestNetTables:
         assert err.value.check == check
         assert str(err.value) == message
 
+    # one place can come to hold every token, so the total must fit too
+    @pytest.mark.parametrize("tokens, message", [
+        ([2 ** 63 - 1, 1], "initial token counts total 9223372036854775808, "
+                           "more than 64 bits hold"),
+        ([2 ** 64, 0], "initial token counts must fit in 64 bits")],
+        ids=["total", "count"])
+    def test_tokens_beyond_int64_rejected(self, tokens, message):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            Marking.initial(net, tokens)
+        assert err.value.check == "initial-tokens"
+        assert str(err.value) == message
+
 
 def two_place_net():
     resources = [Resource(0, "clinic", F),

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -399,7 +400,7 @@ def failures_of(data) -> list:
 
 
 def outcome_of(data):
-    """The failure list of a rejected document, else its normalized data."""
+    """The failure list of a rejected document, else its data."""
     try:
         return load_scenario_data(data).data
     except ScenarioError as exc:
@@ -407,9 +408,9 @@ def outcome_of(data):
 
 
 # SHA-256 of the JSON-dumped outcomes of pinned_corpus(): every message,
-# its path and its order, and the normalized data of every accepted
-# document, must stay as they were. Recorded before the schema was
-# compiled into checkers; re-recorded when a duplicate health state
+# its path and its order, and the data of every accepted document, must
+# stay as they were. Recorded before the schema was compiled into
+# checkers; re-recorded when a duplicate health state
 # stopped dropping its individual, which changed one entry (chronic
 # seed 28) by removing its 27 follow-on "unknown individual" failures;
 # re-recorded when every failure moved under a listed check and a failed
@@ -429,9 +430,14 @@ def outcome_of(data):
 # (chronic seeds 241 and 269, whose mutation leaves no individual
 # 'patient'): each gained three "names unknown individual 'patient'"
 # failures, one per section, before its "unknown individual" schedule
-# failures.
-PINNED_DIGEST = ("3a096065b054101e125cfd1f90519968"
-                 "238a62e8ad8e7d8daf57058429fc609e")
+# failures; re-recorded when the loader stopped building a normalized
+# copy of the document, which changed the 42 accepted entries only: each
+# records its input data, with integral numbers kept as ints and
+# consumes/produces in the form the document gives, where it recorded
+# floats and mappings. Every failure list, and which entries are
+# accepted, is the same as before.
+PINNED_DIGEST = ("ef83d80162413674e7d9b77b2a4b08f8"
+                 "eb1c21a373900efdd02ba5689e896dc6")
 
 
 def test_pinned_failure_lists_unchanged():
@@ -658,6 +664,25 @@ COMPILE_MESSAGES = {
         _shared_key,
         [("cross-references", "'a' at 'b @ c' and 'a @ b' at 'c' share the "
                               "capability key 'a @ b @ c'")]),
+    # one place can come to hold every token, so the total must fit int64
+    "initial-tokens-total": (
+        _set(("initial_tokens",),
+             {"outside clinic": 1, "healthcare clinic": 2 ** 63 - 1}),
+        [("initial-tokens", "initial token counts total "
+                            "9223372036854775808, more than 64 bits hold")]),
+    # the kernel would find the one event enabled twice: ambiguous
+    "event-group-repeats": (
+        _set(("schedule", 0), {"time": 0.0, "individual": "patient",
+                               "event_group": ["Develop occipital tumor",
+                                               "Develop occipital tumor"]}),
+        [("schedule-references", "schedule[0]: event group names "
+                                 "'Develop occipital tumor' twice")]),
+    # entering the clinic starts no health event, so the kernel would
+    # ignore the outcome
+    "outcome-without-health-event": (
+        _set(("schedule", 2, "outcome"), "progressive disease"),
+        [("schedule-references", f"schedule[2]: {_ENTER} realizes no health "
+                                 f"event, so it takes no outcome")]),
 }
 
 
@@ -667,6 +692,70 @@ def test_compile_message(mutate, failures):
     data = chronic_data()
     mutate(data)
     assert failures_of(data) == failures
+
+
+def test_loading_keeps_the_one_copy_unchanged():
+    """The document wraps the parsed data itself, and loading, accepted or
+    rejected, leaves that data as it was."""
+    accepted = 0
+    for data in [acute_data(), chronic_data(), *pinned_corpus()]:
+        before = copy.deepcopy(data)
+        try:
+            assert load_scenario_data(data).data is data
+            accepted += 1
+        except ScenarioError:
+            pass
+        assert data == before
+    assert accepted == 2 + 42  # both fixtures and the corpus's accepted
+
+
+def _other_forms(data):
+    """``data`` with every integral float written as an int, and every
+    consumes/produces state name as a one-item list or a ``{state: 1}``
+    mapping, in turn."""
+    def ints(node):
+        if isinstance(node, dict):
+            return {key: ints(item) for key, item in node.items()}
+        if isinstance(node, list):
+            return [ints(item) for item in node]
+        if isinstance(node, float) and node.is_integer():
+            return int(node)
+        return node
+
+    data = ints(data)
+    forms = itertools.cycle([lambda state: [state],
+                             lambda state: {state: 1}])
+    for ind in data["individuals"]:
+        for event in ind["health_events"]:
+            for key in ("consumes", "produces"):
+                if isinstance(event[key], str):
+                    event[key] = next(forms)(event[key])
+    return data
+
+
+@pytest.mark.parametrize("load", [acute_data, chronic_data],
+                         ids=["acute", "chronic"])
+@pytest.mark.parametrize("flags", [[], ["--mode", "sample", "--seed", "5"]],
+                         ids=["replay", "sample"])
+def test_other_number_and_weight_forms_give_the_same_reports(load, flags,
+                                                             tmp_path):
+    """Compile reads the document as written: an int where the fixture has
+    a float, or a list or mapping where it names one state, changes no
+    report byte."""
+    original, rewritten = load(), _other_forms(load())
+    assert original != rewritten
+    outs = []
+    for name, data in (("original", original), ("rewritten", rewritten)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        outs.append(tmp_path / name)
+        assert main(["simulate", str(path), *flags,
+                     "--out", str(outs[-1])]) == 0
+    files = [{path.relative_to(out).as_posix(): path.read_bytes()
+              for path in sorted(out.rglob("*")) if path.is_file()}
+             for out in outs]
+    assert len(files[0]) == 4
+    assert files[0] == files[1]
 
 
 class TestRoundTrip:
