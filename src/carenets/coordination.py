@@ -66,13 +66,13 @@ def build_feasibility(net: HealthNet,
     realizes it."""
     index = {name: j for j, name in enumerate(transform_names)}
     matrix = np.zeros((net.n_events, len(transform_names)), dtype=int)
-    for ev in net.events:
+    for e, ev in enumerate(net.events):
         for name in ev.realized_by:
             if name not in index:
                 raise ValidationError(
                     f"event {ev.name!r} names unknown transformation "
                     f"process {name!r}", check="feasibility-tags")
-            matrix[ev.index, index[name]] = 1
+            matrix[e, index[name]] = 1
     for ev, row_sum in zip(net.events, matrix.sum(axis=1).tolist()):
         if row_sum > 1:
             raise ValidationError(

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotEnabledError, ValidationError
-from .structure import BoolMatrix, StructuralModel
+from .structure import BoolMatrix, StructuralModel, dof_key
 
 
 def _incidence(model: StructuralModel, endpoint: str) -> np.ndarray:
@@ -34,11 +34,11 @@ def _incidence(model: StructuralModel, endpoint: str) -> np.ndarray:
     inc = np.zeros((model.n_buffers, model.dof_count), dtype=int)
     for y in range(model.n_buffers):
         coords = []
-        for p in model.processes:
+        for w, p in enumerate(model.processes):
             if not p.is_transport:
-                coords.append((p.id, y))
+                coords.append((w, y))
             elif getattr(p, endpoint) == y:
-                coords.extend((p.id, v) for v in range(model.n_resources))
+                coords.extend((w, v) for v in range(model.n_resources))
         template = BoolMatrix.from_pairs(
             (model.n_processes, model.n_resources), coords)
         inc[y, :] = model.projection.apply(template.vec_dense())
@@ -59,9 +59,9 @@ def build_incidence_in(model: StructuralModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Transition:
-    """One transition: a process allocated to a resource."""
+    """One transition: a process allocated to a resource. Its index is
+    its position in :attr:`DeliveryNet.transitions`."""
 
-    psi: int
     label: str
 
 
@@ -138,9 +138,9 @@ class DeliveryNet:
             m_minus, m_plus = a @ m_minus, a @ m_plus
             place_names = model.aggregation.names
         transitions = tuple(
-            Transition(i, f"{model.processes[w].name} @ "
-                          f"{model.resources[v].name}")
-            for i, (w, v) in enumerate(model.dof_list))
+            Transition(dof_key(model.processes[w].name,
+                               model.resources[v].name))
+            for w, v in model.dof_list)
         caps = (np.ones(model.dof_count, dtype=int) if capacities is None
                 else np.asarray(capacities, dtype=int))
         return cls(place_names, transitions, m_minus, m_plus,
@@ -256,10 +256,9 @@ def state_equation(net: DeliveryNet, marking: Marking,
     after_starts = marking.place_tokens - net.m_minus @ u_minus
     if after_starts.size and after_starts[after_starts.argmin()] < 0:
         place = int((after_starts < 0).argmax())
-        guilty = [t.psi for t in net.transitions
-                  if u_minus[t.psi] > 0 and net.m_minus[place, t.psi] > 0]
-        labels = ", ".join(f"{psi} ({net.transitions[psi].label})"
-                           for psi in guilty)
+        labels = ", ".join(f"{psi} ({t.label})"
+                           for psi, t in enumerate(net.transitions)
+                           if u_minus[psi] > 0 and net.m_minus[place, psi] > 0)
         raise NotEnabledError(
             f"transition {labels} not enabled: place "
             f"{net.place_names[place]!r} has no token to consume")

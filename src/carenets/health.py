@@ -39,7 +39,10 @@ class HealthEventKind(Enum):
 
 @dataclass(frozen=True)
 class HealthEvent:
-    index: int
+    """One health event. Its index is its position in
+    :attr:`HealthNet.events`, the column it owns in ``m_minus`` and
+    ``m_plus``."""
+
     name: str
     kind: HealthEventKind
     realized_by: tuple[str, ...] = ()
@@ -89,7 +92,7 @@ class HealthNet:
                 bad = int(off.argmax())
                 raise ValidationError(
                     f"column {bad} ({self.events[bad].name!r}) of {name} "
-                    f"sums to {sums[bad]!r}, expected 1",
+                    f"sums to {float(sums[bad])}, expected 1",
                     check="health-event-normalization")
         if self.values.shape != (ns,):
             raise ValidationError("value vector must have one entry per "
@@ -97,12 +100,7 @@ class HealthNet:
         if _outside_unit(self.values):
             raise ValidationError("state values must lie in [0, 1]",
                                   check="health-values")
-        for position, ev in enumerate(self.events):
-            # feasibility rows and the kernel's tables index by ev.index
-            if ev.index != position:
-                raise ValidationError(
-                    f"event {ev.name!r} at position {position} carries "
-                    f"index {ev.index}")
+        for ev in self.events:
             if not ev.duration >= 0:  # NaN too
                 raise ValidationError(
                     f"event {ev.name!r} has negative duration",

@@ -33,7 +33,7 @@ from .errors import ScenarioError, ValidationError
 from .health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
 from .structure import (BUILD_CHECKS, Aggregation, BoolMatrix, Resource,
                         ResourceClass, Process, StructuralModel,
-                        apply_chronic_abstraction,
+                        apply_chronic_abstraction, dof_key,
                         transport_endpoint_failures)
 
 SCHEMA_VERSION = 1
@@ -55,11 +55,6 @@ def _after(check: str) -> tuple[str, ...]:
     """The checks :data:`CHECKS` lists after ``check``: those a failure
     that stops loading once ``check`` has run keeps from running."""
     return CHECKS[CHECKS.index(check) + 1:]
-
-
-def dof_key(process: str, resource: str) -> str:
-    """Key addressing one degree of freedom in duration/cost tables."""
-    return f"{process} @ {resource}"
 
 
 class _Collector:
@@ -282,7 +277,7 @@ def _child(node):
 
 def _weights(weight_node: str):
     """Checker for what a health event consumes or produces: a state name,
-    a list of states, or a mapping of state to a weight that matches
+    a list of distinct states, or a mapping of state to a weight that matches
     ``weight_node`` (:func:`_weight_map` reads each form)."""
     weight_map = _mapping(weight_node)
 
@@ -298,6 +293,11 @@ def _weights(weight_node: str):
                 else:
                     col.add("schema",
                             f"{_where(path)}: branch list must name states")
+            elif len(set(value)) != len(value):
+                # _weight_map gives each listed state an equal share
+                state = next(s for i, s in enumerate(value) if s in value[:i])
+                col.add("schema", f"{_where(path)}: branch list names "
+                                  f"{state!r} twice")
         elif isinstance(value, dict):
             weight_map(value, path, col)
         else:
@@ -441,31 +441,27 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         # stable, so declaration order breaks ties within a class
         return sorted(specs, key=lambda s: _CLASS_NAMES[s["class"]].rank)
 
-    resources = [Resource(i, spec["name"], _CLASS_NAMES[spec["class"]])
-                 for i, spec in enumerate(by_rank(data.get("resources", [])))]
-    res_index = {r.name: r.id for r in resources}
-    buffer_index = {r.name: r.id for r in resources if r.is_buffer}
+    resources = [Resource(spec["name"], _CLASS_NAMES[spec["class"]])
+                 for spec in by_rank(data.get("resources", []))]
+    res_index = {r.name: v for v, r in enumerate(resources)}
+    # by_rank puts the buffers first, so a buffer's index is its resource's
+    buffer_index = {r.name: v for v, r in enumerate(resources) if r.is_buffer}
 
     processes = []
-    lacking = []  # transport processes the document gives no endpoint
-    for new_id, spec in enumerate(by_rank(data.get("processes", []))):
+    for spec in by_rank(data.get("processes", [])):
         cls = _CLASS_NAMES[spec["class"]]
-        origin = destination = None
+        # an endpoint naming no buffer becomes -1, which no buffer has, so
+        # StructuralModel.build rejects it on any class of process
+        ends = [buffer_index.get(spec[label], -1) if label in spec else None
+                for label in ("origin", "destination")]
         if cls is ResourceClass.TRANSPORTATION:
-            # StructuralModel.build reports a missing endpoint
-            if "origin" not in spec or "destination" not in spec:
-                lacking.append(new_id)
-            for label in ("origin", "destination"):
-                end = spec.get(label)
-                if end is not None and end not in buffer_index:
+            for label, end in zip(("origin", "destination"), ends):
+                if end == -1:
                     col.add("transport-endpoints",
                             f"transport process {spec['name']!r} {label} "
-                            f"{end!r} is not a buffer")
-            origin = buffer_index.get(spec.get("origin"))
-            destination = buffer_index.get(spec.get("destination"))
-        processes.append(Process(new_id, spec["name"], cls,
-                                 origin=origin, destination=destination))
-    proc_index = {p.name: p.id for p in processes}
+                            f"{spec[label]!r} is not a buffer")
+        processes.append(Process(spec["name"], cls, *ends))
+    proc_index = {p.name: w for w, p in enumerate(processes)}
 
     def resolve(pairs, label):
         resolved = []
@@ -487,11 +483,12 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                                       constraints)
     except ValidationError as exc:
         if exc.check == "transport-endpoints":
-            # build names only the first process without two buffer
-            # endpoints: name each one the document gives none instead
-            # (one naming a non-buffer is already reported above)
+            # build names only the first process whose endpoints are
+            # wrong: name each one instead, except a transport process
+            # given both, whose non-buffer name is reported above
             for message in transport_endpoint_failures(
-                    [processes[w] for w in lacking], resources):
+                    [p for p in processes if not p.is_transport
+                     or None in (p.origin, p.destination)], resources):
                 col.add(exc.check, message)
         else:
             col.grab(exc)
@@ -652,7 +649,7 @@ def _build_health_net(ind: dict, assumed: dict,
             m_plus[index[state], j] = weight
         duration = durations.get(spec["name"], durations.get(DEFAULT_KEY, 0.0))
         events.append(HealthEvent(
-            j, spec["name"], _EVENT_KINDS[spec["kind"]],
+            spec["name"], _EVENT_KINDS[spec["kind"]],
             realized_by=tuple(spec.get("realized_by", ())),
             duration=float(duration)))
     produces = {spec["name"]: out for spec, out in zip(specs, branches)}
@@ -766,7 +763,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                           "schedule-references"))
                 continue
             clean = len(col.failures) == failures
-            event_index = {ev.name: ev.index for ev in hnet.events}
+            event_index = {ev.name: e for e, ev in enumerate(hnet.events)}
         else:
             hnet, event_index, feas = built
         nets[ind["id"]] = hnet, event_index

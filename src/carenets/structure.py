@@ -67,7 +67,6 @@ def classify_resource(capabilities: Iterable[ResourceClass]) -> ResourceClass:
 class Resource:
     """One system resource. Non-transportation resources double as buffers."""
 
-    id: int
     name: str
     cls: ResourceClass
 
@@ -79,9 +78,8 @@ class Resource:
 @dataclass(frozen=True)
 class Process:
     """One system process. Transportation processes carry an origin and
-    destination buffer id; all other classes happen in place."""
+    destination buffer index; all other classes happen in place."""
 
-    id: int
     name: str
     cls: ResourceClass
     origin: int | None = None
@@ -150,6 +148,12 @@ def enumerate_dof(concept: BoolMatrix) -> list[tuple[int, int]]:
     The position of a pair in this list is its degree-of-freedom index.
     """
     return sorted(concept.coords, key=lambda wv: (wv[1], wv[0]))
+
+
+def dof_key(process: str, resource: str) -> str:
+    """Key addressing one degree of freedom: its process at its resource,
+    as transition labels and the duration/cost tables name it."""
+    return f"{process} @ {resource}"
 
 
 @dataclass(frozen=True)
@@ -325,11 +329,7 @@ class StructuralModel:
 def _check_entities(entities, kind: str, check: str) -> None:
     names = set()
     last_rank = 0
-    for i, ent in enumerate(entities):
-        if ent.id != i:
-            raise ValidationError(
-                f"{kind} ids must be dense and in list order; "
-                f"{ent.name!r} has id {ent.id} at position {i}", check=check)
+    for ent in entities:
         if ent.name in names:
             raise ValidationError(f"duplicate {kind} name {ent.name!r}",
                                   check=check)
@@ -423,14 +423,14 @@ def apply_chronic_abstraction(model: StructuralModel,
     """
     buffers = model.buffers
     if clinic_buffers is None:
-        clinic = {r.id for r in buffers if r.name != OUTSIDE_CLINIC}
+        clinic = {b for b, r in enumerate(buffers) if r.name != OUTSIDE_CLINIC}
     else:
         clinic = {int(b) for b in clinic_buffers}
         for b in clinic:
             if not (0 <= b < len(buffers)):
                 raise ValidationError(f"clinic buffer id {b} is not a buffer",
                                       check="aggregation-partition")
-    outside = [r.id for r in buffers if r.id not in clinic]
+    outside = [b for b in range(len(buffers)) if b not in clinic]
     if not outside:
         raise ValidationError(
             f"model has no {OUTSIDE_CLINIC!r} buffer outside the clinic",
@@ -446,13 +446,12 @@ def apply_chronic_abstraction(model: StructuralModel,
             "no transport capability enters or exits the clinic",
             check="aggregation-partition")
 
-    inner = {p.id for p in model.processes if p.is_transport
+    inner = {w for w, p in enumerate(model.processes) if p.is_transport
              and p.origin in clinic and p.destination in clinic}
     eliminated = {(w, v) for w, v in model.concept.coords if w in inner}
     constraints = BoolMatrix(model.constraints.shape,
                              model.constraints.coords | eliminated)
 
-    # build orders resources by class, so buffer ids are 0, 1, ...
     pairs = [(0, b) for b in outside] + [(1, b) for b in sorted(clinic)]
     outside_label = (buffers[outside[0]].name if len(outside) == 1
                      else OUTSIDE_CLINIC)

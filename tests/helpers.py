@@ -82,13 +82,12 @@ def random_model(rng: np.random.Generator,
     n_transport = int(rng.integers(0, min(2, max(budget, 0)) + 1))
     n_extra = int(rng.integers(0, max(budget - n_transport, 0) + 1))
 
-    resources = [Resource(i, f"buffer {i}", cls)
+    resources = [Resource(f"buffer {i}", cls)
                  for i, cls in enumerate(buffer_classes)]
     mover = None
     if n_transport:
         mover = len(resources)
-        resources.append(Resource(mover, "mover",
-                                  ResourceClass.TRANSPORTATION))
+        resources.append(Resource("mover", ResourceClass.TRANSPORTATION))
 
     processes = []
     allocations = []
@@ -103,7 +102,7 @@ def random_model(rng: np.random.Generator,
     specs = sorted(anchor_specs + extra_specs, key=lambda item: item[0].rank)
     for cls, target in specs:
         pid = len(processes)
-        processes.append(Process(pid, f"{cls.value} {pid}", cls))
+        processes.append(Process(f"{cls.value} {pid}", cls))
         allocations.append((pid, target))
         # optional redundant allocation at another legal buffer
         legal = [b for b in range(n_buffers)
@@ -117,7 +116,7 @@ def random_model(rng: np.random.Generator,
         pid = len(processes)
         origin = int(rng.integers(0, n_buffers))
         destination = int(rng.integers(0, n_buffers))
-        processes.append(Process(pid, f"move {pid}",
+        processes.append(Process(f"move {pid}",
                                  ResourceClass.TRANSPORTATION,
                                  origin=origin, destination=destination))
         allocations.append((pid, mover))
@@ -201,10 +200,10 @@ def bystander(model: StructuralModel) -> Individual:
     names = [p.name for p in model.transformation_processes]
     loops = np.ones((1, len(names)))
     net = HealthNet(("well",),
-                    tuple(HealthEvent(i, f"undergo {name}",
+                    tuple(HealthEvent(f"undergo {name}",
                                       HealthEventKind.INDUCED,
                                       realized_by=(name,))
-                          for i, name in enumerate(names)),
+                          for name in names),
                     loops, loops, np.ones(1))
     return Individual("p", net, HealthMarking.point(net, 0),
                       build_feasibility(net, names))
@@ -338,7 +337,7 @@ def random_health_net(rng: np.random.Generator,
         weights /= weights.sum()
         for s, w in zip(outs, weights):
             m_plus[int(s), e] = w
-        events.append(HealthEvent(e, f"event {e}",
+        events.append(HealthEvent(f"event {e}",
                                   HealthEventKind.STOCHASTIC))
     values = rng.random(n_states)
     return HealthNet(tuple(f"state {s}" for s in range(n_states)),

@@ -112,7 +112,7 @@ def test_criterion_06_degenerate_equivalence():
         net = random_delivery_net(rng)
         fuzzy = HealthNet(
             tuple(net.place_names),
-            tuple(HealthEvent(i, f"event {i}", HealthEventKind.STOCHASTIC)
+            tuple(HealthEvent(f"event {i}", HealthEventKind.STOCHASTIC)
                   for i in range(net.n_transitions)),
             net.m_minus.astype(float), net.m_plus.astype(float),
             np.zeros(net.n_places))

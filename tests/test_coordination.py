@@ -42,10 +42,10 @@ def branching_health_net():
     condition-specific event for each, plus a spontaneous onset event."""
     states = ("well", "condition x", "condition y", "treated")
     events = (
-        HealthEvent(0, "fall ill", STOCH),
-        HealthEvent(1, "therapy for x", INDUCED, realized_by=("therapy",),
+        HealthEvent("fall ill", STOCH),
+        HealthEvent("therapy for x", INDUCED, realized_by=("therapy",),
                     duration=1.0),
-        HealthEvent(2, "therapy for y", INDUCED, realized_by=("therapy",),
+        HealthEvent("therapy for y", INDUCED, realized_by=("therapy",),
                     duration=1.0),
     )
     m_minus = np.array([
@@ -63,13 +63,13 @@ def branching_health_net():
 
 
 def care_system():
-    resources = [Resource(0, "clinic", F),
-                 Resource(1, "outside clinic", M),
-                 Resource(2, "patient", N)]
-    processes = [Process(0, "therapy", F),
-                 Process(1, "check", M),
-                 Process(2, "enter", N, origin=1, destination=0),
-                 Process(3, "exit", N, origin=0, destination=1)]
+    resources = [Resource("clinic", F),
+                 Resource("outside clinic", M),
+                 Resource("patient", N)]
+    processes = [Process("therapy", F),
+                 Process("check", M),
+                 Process("enter", N, origin=1, destination=0),
+                 Process("exit", N, origin=0, destination=1)]
     model = StructuralModel.build(
         resources, processes, [(0, 0), (1, 1), (2, 2), (3, 2)])
     net = DeliveryNet.from_model(model, [1.0, 0.5, 0.25, 0.25],
@@ -649,8 +649,8 @@ class TestCosimulate:
     def test_two_enabled_scheduled_events_are_ambiguous(self):
         _, net, _, selector, initial, _ = cosim_setup()
         hnet = HealthNet(("well", "x", "y"),
-                         (HealthEvent(0, "to x", STOCH),
-                          HealthEvent(1, "to y", STOCH)),
+                         (HealthEvent("to x", STOCH),
+                          HealthEvent("to y", STOCH)),
                          np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
                          np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                          np.array([1.0, 0.5, 0.5]))
@@ -663,8 +663,8 @@ class TestCosimulate:
         assert err.value.label == "to x | to y"
 
     def test_schedule_without_transformation_processes(self):
-        model = StructuralModel.build([Resource(0, "lab", M)],
-                                      [Process(0, "test", M)], [(0, 0)])
+        model = StructuralModel.build([Resource("lab", M)],
+                                      [Process("test", M)], [(0, 0)])
         net = DeliveryNet.from_model(model, [1.0], [20.0])
         result = run_starts(model, net, Marking.initial(net, [1]),
                             [(0.0, 0), (2.0, 0)])
@@ -678,8 +678,8 @@ class TestCosimulate:
         (1.0, 1e308, 1e308, "cumulative cost")])
     def test_overflow_names_the_first_infinite_point(self, duration, cost,
                                                      time, what):
-        model = StructuralModel.build([Resource(0, "lab", M)],
-                                      [Process(0, "test", M)], [(0, 0)])
+        model = StructuralModel.build([Resource("lab", M)],
+                                      [Process("test", M)], [(0, 0)])
         net = DeliveryNet.from_model(model, [duration], [cost])
         with pytest.raises(SimulationError) as err:
             run_starts(model, net, Marking.initial(net, [1]),
@@ -800,6 +800,25 @@ class TestCosimulate:
             [HealthAction(0.0, "p1", (0,)), HealthAction(time, "p1", (0,))])
         assert str(err) == (f"health action at t={time} for individual "
                             f"'p1': time {time!r} is not a number >= 0")
+
+    @pytest.mark.parametrize("case, message", [
+        ("mode", "unknown mode 'simulate'"),
+        ("repeated-ids", "duplicate individual ids"),
+        ("unknown-individual", "schedule names unknown individual 'p2'")])
+    def test_bad_run_input_rejected(self, monkeypatch, case, message):
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        individuals, mode = [individual], "replay"
+        actions = [DeliveryAction(0.5, dofs["check"], "p1")]
+        if case == "mode":
+            mode = "simulate"
+        elif case == "repeated-ids":
+            individuals = [individual, individual]
+        else:
+            actions = [DeliveryAction(0.5, dofs["check"], "p2")]
+        err = _rejected_before_any_event(monkeypatch, net, initial,
+                                         individuals, selector, actions, [],
+                                         mode)
+        assert (err.check, str(err)) == ("structure", message)
 
     def test_integer_zero_time_accepted(self):
         _, net, individual, selector, initial, dofs = cosim_setup()

@@ -21,16 +21,16 @@ N = ResourceClass.TRANSPORTATION
 
 
 def self_loop_model():
-    resources = [Resource(0, "ward", F)]
-    processes = [Process(0, "treat", F)]
+    resources = [Resource("ward", F)]
+    processes = [Process("treat", F)]
     return StructuralModel.build(resources, processes, [(0, 0)])
 
 
 def transport_model():
-    resources = [Resource(0, "ward", F), Resource(1, "lab", M),
-                 Resource(2, "porter", N)]
-    processes = [Process(0, "treat", F), Process(1, "test", M),
-                 Process(2, "carry", N, origin=0, destination=1)]
+    resources = [Resource("ward", F), Resource("lab", M),
+                 Resource("porter", N)]
+    processes = [Process("treat", F), Process("test", M),
+                 Process("carry", N, origin=0, destination=1)]
     return StructuralModel.build(resources, processes,
                                  [(0, 0), (1, 1), (2, 2)])
 
@@ -177,14 +177,33 @@ class TestNetTables:
         assert err.value.check == "initial-tokens"
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("build, check, message", [
+        (lambda net: dataclasses.replace(net, m_minus=net.m_minus[:1]),
+         "structure", "m_minus has shape (1, 3), expected (2, 3)"),
+        (lambda net: dataclasses.replace(net, m_plus=net.m_plus * [1, 1, 0]),
+         "incidence-column-sums",
+         "column 2 of m_plus sums to 0, expected exactly 1"),
+        (lambda net: Marking.initial(net, [-1, 2]),
+         "initial-tokens", "initial token counts must be nonnegative"),
+        (lambda net: state_equation(net, Marking.initial(net, [0, 1]),
+                                    np.zeros(2), np.zeros(3)),
+         "structure", "firing vectors must have one entry per transition")],
+        ids=["matrix-shape", "zero-column", "negative-count",
+             "firing-vector-length"])
+    def test_bad_input_rejected(self, build, check, message):
+        _, net = two_place_net()
+        with pytest.raises(ValidationError) as err:
+            build(net)
+        assert (err.value.check, str(err.value)) == (check, message)
+
 
 def two_place_net():
-    resources = [Resource(0, "clinic", F),
-                 Resource(1, "outside clinic", M),
-                 Resource(2, "patient", N)]
-    processes = [Process(0, "treat", F),
-                 Process(1, "enter", N, origin=1, destination=0),
-                 Process(2, "exit", N, origin=0, destination=1)]
+    resources = [Resource("clinic", F),
+                 Resource("outside clinic", M),
+                 Resource("patient", N)]
+    processes = [Process("treat", F),
+                 Process("enter", N, origin=1, destination=0),
+                 Process("exit", N, origin=0, destination=1)]
     model = StructuralModel.build(resources, processes,
                                   [(0, 0), (1, 2), (2, 2)])
     net = DeliveryNet.from_model(model, [1.0, 0.5, 0.5], [100.0, 0.0, 0.0])

@@ -112,7 +112,7 @@ class TestChronicFixture:
         therapy = [ev.name for ev in net.events].index(
             "Treat residual disease after near-total resection")
         spontaneous = net.events[therapy].__class__(
-            therapy, "spontaneous variant", HealthEventKind.STOCHASTIC)
+            "spontaneous variant", HealthEventKind.STOCHASTIC)
         events = list(net.events)
         events[therapy] = spontaneous
         variant = net.__class__(net.state_names, tuple(events), net.m_minus,

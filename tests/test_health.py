@@ -20,7 +20,7 @@ INDUCED = HealthEventKind.INDUCED
 def resection_net(kind=INDUCED):
     """Four states, one branching event with equal outcome weights."""
     states = ("sick", "good outcome", "fair outcome", "poor outcome")
-    events = (HealthEvent(0, "operate", kind,
+    events = (HealthEvent("operate", kind,
                           realized_by=("surgery",) if kind is INDUCED
                           else ()),)
     m_minus = np.array([[1.0], [0.0], [0.0], [0.0]])
@@ -32,8 +32,8 @@ def resection_net(kind=INDUCED):
 
 def chain_net():
     states = ("a", "b", "c")
-    events = (HealthEvent(0, "forward", STOCH),
-              HealthEvent(1, "onward", STOCH))
+    events = (HealthEvent("forward", STOCH),
+              HealthEvent("onward", STOCH))
     m_minus = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     m_plus = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return HealthNet(states, events, m_minus, m_plus,
@@ -93,7 +93,7 @@ class TestFuzzyStep:
             net = random_delivery_net(rng)
             fuzzy = HealthNet(
                 tuple(net.place_names),
-                tuple(HealthEvent(i, f"e{i}", STOCH)
+                tuple(HealthEvent(f"e{i}", STOCH)
                       for i in range(net.n_transitions)),
                 net.m_minus.astype(float), net.m_plus.astype(float),
                 np.zeros(net.n_places))
@@ -288,7 +288,7 @@ class TestValidation:
     def test_column_sum_below_one_rejected(self):
         with pytest.raises(ValidationError) as err:
             HealthNet(("a", "b"),
-                      (HealthEvent(0, "e", STOCH),),
+                      (HealthEvent("e", STOCH),),
                       np.array([[1.0], [0.0]]),
                       np.array([[0.0], [0.9]]),
                       np.array([1.0, 0.0]))
@@ -297,7 +297,7 @@ class TestValidation:
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValidationError):
             HealthNet(("a", "b"),
-                      (HealthEvent(0, "e", STOCH),),
+                      (HealthEvent("e", STOCH),),
                       np.array([[1.0], [0.0]]),
                       np.array([[0.0], [1.0]]),
                       np.array([1.0, 1.5]))
@@ -313,12 +313,12 @@ class TestValidation:
                   "values": np.array([1.0, 0.0])}
         arrays[target][1] = value
         with pytest.raises(ValidationError) as err:
-            HealthNet(("a", "b"), (HealthEvent(0, "e", STOCH),), **arrays)
+            HealthNet(("a", "b"), (HealthEvent("e", STOCH),), **arrays)
         assert err.value.check == check
 
     def test_values_of_wrong_length_filed_under_health_values(self):
         with pytest.raises(ValidationError) as err:
-            HealthNet(("a", "b"), (HealthEvent(0, "e", STOCH),),
+            HealthNet(("a", "b"), (HealthEvent("e", STOCH),),
                       np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
                       np.array([1.0, 0.0, 0.5]))
         assert err.value.check == "health-values"
@@ -327,28 +327,16 @@ class TestValidation:
     def test_induced_without_realizer_rejected(self):
         with pytest.raises(ValidationError):
             HealthNet(("a", "b"),
-                      (HealthEvent(0, "e", INDUCED),),
+                      (HealthEvent("e", INDUCED),),
                       np.array([[1.0], [0.0]]),
                       np.array([[0.0], [1.0]]),
                       np.array([1.0, 0.0]))
-
-    def test_event_index_must_match_position(self):
-        events = (HealthEvent(1, "operate", INDUCED,
-                              realized_by=("surgery",)),
-                  HealthEvent(0, "relapse", STOCH))
-        with pytest.raises(ValidationError) as err:
-            HealthNet(("a", "b"), events,
-                      np.array([[1.0, 0.0], [0.0, 1.0]]),
-                      np.array([[0.0, 1.0], [1.0, 0.0]]),
-                      np.array([1.0, 0.0]))
-        assert "'operate' at position 0 carries index 1" in str(err.value)
 
     @pytest.mark.parametrize("states, names, repeated", [
         (("a", "a"), ("e", "f"), "state 'a'"),
         (("a", "b"), ("e", "e"), "event 'e'")])
     def test_duplicate_names_rejected(self, states, names, repeated):
-        events = tuple(HealthEvent(i, name, STOCH)
-                       for i, name in enumerate(names))
+        events = tuple(HealthEvent(name, STOCH) for name in names)
         with pytest.raises(ValidationError) as err:
             HealthNet(states, events, np.eye(2), np.eye(2)[::-1],
                       np.array([1.0, 0.0]))
@@ -356,7 +344,7 @@ class TestValidation:
         assert str(err.value) == f"duplicate health {repeated}"
 
     def test_negative_duration_rejected_under_durations(self):
-        events = (HealthEvent(0, "e", STOCH, duration=-1.0),)
+        events = (HealthEvent("e", STOCH, duration=-1.0),)
         with pytest.raises(ValidationError) as err:
             HealthNet(("a", "b"), events, np.array([[1.0], [0.0]]),
                       np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
@@ -364,12 +352,44 @@ class TestValidation:
 
     def test_nan_duration_rejected_under_durations(self):
         # a completion time must never be NaN
-        events = (HealthEvent(0, "e", STOCH, duration=float("nan")),)
+        events = (HealthEvent("e", STOCH, duration=float("nan")),)
         with pytest.raises(ValidationError) as err:
             HealthNet(("a", "b"), events, np.array([[1.0], [0.0]]),
                       np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
         assert err.value.check == "durations"
         assert str(err.value) == "event 'e' has negative duration"
+
+    def test_column_sum_prints_as_a_float(self):
+        with pytest.raises(ValidationError) as err:
+            HealthNet(("a", "b"), (HealthEvent("e", STOCH),),
+                      np.array([[1.0], [0.0]]), np.array([[0.0], [0.5]]),
+                      np.array([1.0, 0.0]))
+        assert str(err.value) == "column 0 ('e') of m_plus sums to 0.5, " \
+                                 "expected 1"
+
+    @pytest.mark.parametrize("build, check, message", [
+        (lambda: HealthNet(("a", "b"), (HealthEvent("e", STOCH),),
+                           np.array([[1.0], [0.0], [0.0]]),
+                           np.array([[0.0], [1.0]]), np.array([1.0, 0.0])),
+         "structure", "m_minus has shape (3, 1), expected (2, 1)"),
+        (lambda: HealthNet(("a", "b"),
+                           (HealthEvent("e", STOCH, realized_by=("cure",)),),
+                           np.array([[1.0], [0.0]]),
+                           np.array([[0.0], [1.0]]), np.array([1.0, 0.0])),
+         "feasibility-tags",
+         "stochastic event 'e' must not name realizing processes"),
+        (lambda: check_unit_mass(HealthMarking(np.array([1.5, -0.5, 0.0]),
+                                               np.zeros(2))),
+         "initial-mass", "health marking has negative mass"),
+        (lambda: fuzzy_step(chain_net(), HealthMarking.point(chain_net(), "a"),
+                            np.zeros(3), np.zeros(2)),
+         "structure", "firing vectors must have one entry per event")],
+        ids=["matrix-shape", "stochastic-realizer", "negative-mass",
+             "firing-vector-length"])
+    def test_bad_input_rejected(self, build, check, message):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert (err.value.check, str(err.value)) == (check, message)
 
     def test_unit_mass_check(self):
         net = chain_net()

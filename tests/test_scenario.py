@@ -48,7 +48,7 @@ class TestLoading:
     def test_acute_transport_split(self, acute):
         transports = [p for p in acute.model.processes if p.is_transport]
         assert len(transports) == 22
-        (outside,) = [r.id for r in acute.model.resources
+        (outside,) = [v for v, r in enumerate(acute.model.resources)
                       if r.name == "outside clinic"]
         crossing = [p for p in transports
                     if outside in (p.origin, p.destination)]
@@ -507,6 +507,18 @@ MESSAGES = {
     "branch-list": (_set((*_RESECT, "produces"), []),
                     "individuals[0].health_events[2].produces: branch "
                     "list must name states"),
+    # a list splits one unit equally over its states, so each is listed
+    # once (fails on the parent under health-event-normalization)
+    "branch-list-repeats-consumed": (
+        _set((*_RESECT, "consumes"), ["symptomatic tumor"] * 2),
+        "individuals[0].health_events[2].consumes: branch list names "
+        "'symptomatic tumor' twice"),
+    "branch-list-repeats-produced": (
+        _set((*_RESECT, "produces"), ["gross-total resection",
+                                      "near-total resection",
+                                      "gross-total resection"]),
+        "individuals[0].health_events[2].produces: branch list names "
+        "'gross-total resection' twice"),
     "weights-type": (_set((*_RESECT, "consumes"), 3),
                      "individuals[0].health_events[2].consumes: expected "
                      "a state, a list of states, or a mapping, got 3"),
@@ -580,6 +592,17 @@ def _shared_key(data):
 
 _ENTER = "'Enter clinic @ patient'"
 _PATIENT = "individual 'patient'"
+
+def _endpoints(**ends):
+    """Give the chronic fixture's non-transport processes ``Perform
+    imaging scan`` and ``Plan & schedule care`` the endpoints ``ends``."""
+    def mutate(data):
+        for spec in data["processes"]:
+            if spec["name"] in ("Perform imaging scan",
+                                "Plan & schedule care"):
+                spec.update(ends)
+    return mutate
+
 
 # The exact failures of defects the schema accepts and compiling rejects.
 COMPILE_MESSAGES = {
@@ -660,6 +683,18 @@ COMPILE_MESSAGES = {
         _aggregated(["outside clinic"], CLINIC[1:]),
         [("aggregation-partition",
           "buffer columns [0] belong to no aggregate")]),
+    # one failure per non-transport process with an endpoint, whether or
+    # not it names a buffer (both load on the parent)
+    "endpoints-on-non-transport": (
+        _endpoints(origin="nowhere", destination="nowhere"),
+        [("transport-endpoints", f"non-transport process {name!r} must not "
+                                 f"carry transport endpoints")
+         for name in ("Plan & schedule care", "Perform imaging scan")]),
+    "endpoint-buffer-on-non-transport": (
+        _endpoints(origin="outside clinic"),
+        [("transport-endpoints", f"non-transport process {name!r} must not "
+                                 f"carry transport endpoints")
+         for name in ("Plan & schedule care", "Perform imaging scan")]),
     "capability-key-shared": (
         _shared_key,
         [("cross-references", "'a' at 'b @ c' and 'a @ b' at 'c' share the "

@@ -105,13 +105,13 @@ class TestProjection:
 
 
 def tiny_model(constraints=()):
-    resources = [Resource(0, "ward", F), Resource(1, "desk", D),
-                 Resource(2, "scanner", M),
-                 Resource(3, "porter", N)]
-    processes = [Process(0, "treat", F), Process(1, "advise", D),
-                 Process(2, "scan", M),
-                 Process(3, "move to scanner", N, origin=0, destination=2),
-                 Process(4, "move back", N, origin=2, destination=0)]
+    resources = [Resource("ward", F), Resource("desk", D),
+                 Resource("scanner", M),
+                 Resource("porter", N)]
+    processes = [Process("treat", F), Process("advise", D),
+                 Process("scan", M),
+                 Process("move to scanner", N, origin=0, destination=2),
+                 Process("move back", N, origin=2, destination=0)]
     knowledge = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 3), (4, 3)]
     return StructuralModel.build(resources, processes, knowledge,
                                  constraints)
@@ -124,16 +124,16 @@ class TestModelValidation:
         assert [r.name for r in model.buffers] == ["ward", "desk", "scanner"]
 
     def test_block_mask_rejects_transform_at_transport(self):
-        resources = [Resource(0, "ward", F),
-                     Resource(1, "porter", N)]
-        processes = [Process(0, "treat", F)]
+        resources = [Resource("ward", F),
+                     Resource("porter", N)]
+        processes = [Process("treat", F)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [(0, 1)])
         assert err.value.check == "knowledge-block-mask"
 
     def test_declared_class_must_match_capabilities(self):
-        resources = [Resource(0, "ward", F)]
-        processes = [Process(0, "scan", M)]
+        resources = [Resource("ward", F)]
+        processes = [Process("scan", M)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [(0, 0)])
         assert err.value.check == "resource-class-consistency"
@@ -143,21 +143,21 @@ class TestModelValidation:
         ("desk", "treat", "processes", "duplicate process name 'treat'")])
     def test_duplicate_name_rejected_under_its_check(self, desk, plan,
                                                      check, message):
-        resources = [Resource(0, "ward", F), Resource(1, desk, D)]
-        processes = [Process(0, "treat", F), Process(1, plan, D)]
+        resources = [Resource("ward", F), Resource(desk, D)]
+        processes = [Process("treat", F), Process(plan, D)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [])
         assert (err.value.check, str(err.value)) == (check, message)
 
     def test_entity_order_must_group_classes(self):
-        resources = [Resource(0, "desk", D), Resource(1, "ward", F)]
+        resources = [Resource("desk", D), Resource("ward", F)]
         with pytest.raises(ValidationError):
             StructuralModel.build(resources, [], [])
 
     def test_transport_needs_endpoints(self):
-        resources = [Resource(0, "ward", F),
-                     Resource(1, "porter", N)]
-        processes = [Process(0, "move", N)]
+        resources = [Resource("ward", F),
+                     Resource("porter", N)]
+        processes = [Process("move", N)]
         with pytest.raises(ValidationError) as err:
             StructuralModel.build(resources, processes, [(0, 1)])
         assert err.value.check == "transport-endpoints"
@@ -179,8 +179,8 @@ class TestAggregation:
 
     def test_functional_grouping(self):
         # a human specialist and their technical theatre act as one place
-        surgeon = Resource(0, "surgeon", F)
-        theatre = Resource(1, "operating room", F)
+        surgeon = Resource("surgeon", F)
+        theatre = Resource("operating room", F)
         agg = Aggregation(("surgical theatre",),
                           BoolMatrix.from_pairs((1, 2), [(0, 0), (0, 1)]))
         assert aggregate_members(agg, (surgeon, theatre)) == \
@@ -197,15 +197,15 @@ class TestAggregation:
 
 
 def clinic_model():
-    resources = [Resource(0, "ward", F), Resource(1, "lab", M),
-                 Resource(2, "outside clinic", M),
-                 Resource(3, "patient", N)]
-    processes = [Process(0, "treat", F), Process(1, "test", M),
-                 Process(2, "monitor", M),
-                 Process(3, "ward to lab", N, origin=0, destination=1),
-                 Process(4, "lab to ward", N, origin=1, destination=0),
-                 Process(5, "enter", N, origin=2, destination=0),
-                 Process(6, "exit", N, origin=0, destination=2)]
+    resources = [Resource("ward", F), Resource("lab", M),
+                 Resource("outside clinic", M),
+                 Resource("patient", N)]
+    processes = [Process("treat", F), Process("test", M),
+                 Process("monitor", M),
+                 Process("ward to lab", N, origin=0, destination=1),
+                 Process("lab to ward", N, origin=1, destination=0),
+                 Process("enter", N, origin=2, destination=0),
+                 Process("exit", N, origin=0, destination=2)]
     knowledge = [(0, 0), (1, 1), (2, 2)] + [(p, 3) for p in range(3, 7)]
     return StructuralModel.build(resources, processes, knowledge)
 
@@ -234,12 +234,12 @@ class TestChronicAbstraction:
         assert sorted(by_name["healthcare clinic"]) == ["lab", "ward"]
 
     def test_nothing_to_eliminate_keeps_dofs(self):
-        resources = [Resource(0, "ward", F),
-                     Resource(1, "outside clinic", M),
-                     Resource(2, "patient", N)]
-        processes = [Process(0, "treat", F),
-                     Process(1, "enter", N, origin=1, destination=0),
-                     Process(2, "exit", N, origin=0, destination=1)]
+        resources = [Resource("ward", F),
+                     Resource("outside clinic", M),
+                     Resource("patient", N)]
+        processes = [Process("treat", F),
+                     Process("enter", N, origin=1, destination=0),
+                     Process("exit", N, origin=0, destination=1)]
         model = StructuralModel.build(resources, processes,
                                       [(0, 0), (1, 2), (2, 2)])
         reduced = apply_chronic_abstraction(model)
@@ -247,9 +247,9 @@ class TestChronicAbstraction:
         assert reduced.constraints == model.constraints
 
     def test_missing_outside_buffer_rejected(self):
-        resources = [Resource(0, "ward", F),
-                     Resource(1, "patient", N)]
-        processes = [Process(0, "treat", F)]
+        resources = [Resource("ward", F),
+                     Resource("patient", N)]
+        processes = [Process("treat", F)]
         model = StructuralModel.build(resources, processes, [(0, 0)])
         with pytest.raises(ValidationError) as err:
             apply_chronic_abstraction(model)
@@ -268,7 +268,7 @@ class TestChronicAbstraction:
             if not crossing:
                 continue
             tried += 1
-            clinic = [b.id for b in model.buffers if b.id != 0]
+            clinic = [b for b, _ in enumerate(model.buffers) if b != 0]
             reduced = apply_chronic_abstraction(model, clinic)
             assert reduced.dof_count <= model.dof_count
             before = {(w, v) for w, v in model.dof_list
@@ -285,3 +285,46 @@ class TestChronicAbstraction:
                       if reduced.processes[w].is_transport}
         assert transports == {"Go from outside clinic to reception",
                               "Go from reception to outside clinic"}
+
+
+@pytest.mark.parametrize("build, check, message", [
+    (lambda: BoolMatrix.from_pairs((2, 2), [(2, 0)]),
+     "structure", "coordinate (2, 0) outside matrix shape (2, 2)"),
+    (lambda: build_projection(BoolMatrix.from_pairs((2, 2), [(0, 0)]))
+     .apply(np.ones(3)),
+     "structure", "expected vector of length 4, got shape (3,)"),
+    (lambda: Aggregation(("only",),
+                         BoolMatrix.from_pairs((2, 2), [(0, 0), (1, 1)])),
+     "aggregation-partition", "1 aggregate names for 2 rows"),
+    (lambda: StructuralModel.build([Resource("ward", F)],
+                                   [Process("treat", F)],
+                                   BoolMatrix.zeros((1, 2))),
+     "structure",
+     "knowledge base shape (1, 2) does not match 1 processes x 1 resources"),
+    (lambda: StructuralModel.build(
+        [Resource("ward", F)], [Process("treat", F)], [(0, 0)],
+        aggregation=Aggregation(
+            ("all",), BoolMatrix.from_pairs((1, 2), [(0, 0), (0, 1)]))),
+     "aggregation-partition", "aggregation covers 2 buffers, model has 1"),
+    (lambda: StructuralModel.build(
+        [Resource("ward", F), Resource("porter", N)],
+        [Process("treat", F), Process("move", N, origin=0, destination=1)],
+        [(0, 0), (1, 1)]),
+     "transport-endpoints",
+     "transport process 'move' destination 1 is not a buffer id"),
+    (lambda: StructuralModel.build([Resource("ward", F)],
+                                   [Process("treat", F, origin=0)],
+                                   [(0, 0)]),
+     "transport-endpoints",
+     "non-transport process 'treat' must not carry transport endpoints"),
+    (lambda: apply_chronic_abstraction(clinic_model(), [7]),
+     "aggregation-partition", "clinic buffer id 7 is not a buffer"),
+    (lambda: classify_resource(["wizard"]),
+     "structure", "unknown capabilities: {'wizard'}")],
+    ids=["matrix-coordinate", "projection-length", "aggregate-names",
+         "knowledge-width", "aggregation-width", "endpoint-range",
+         "endpoint-on-non-transport", "clinic-buffer", "capabilities"])
+def test_bad_input_rejected(build, check, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert (err.value.check, str(err.value)) == (check, message)
