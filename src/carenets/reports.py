@@ -140,7 +140,11 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
         raise ValidationError(f"runs must be at least 1, got {runs}")
     out_dir = Path(out_dir)
     compiled = compile_scenario(doc)
-    touched = [(out_dir, out_dir.is_dir())]  # (directory, existed before)
+    # (directory, existed before), outermost first: the missing ancestors
+    # that write_run creates, then out_dir
+    touched = [(parent, False) for parent in reversed(out_dir.parents)
+               if not parent.is_dir()]
+    touched.append((out_dir, out_dir.is_dir()))
     try:
         rows = []
         for k in range(runs):

@@ -31,29 +31,33 @@ from .coordination import (DeliveryAction, HealthAction, Individual,
 from .delivery import DeliveryNet, Marking
 from .errors import ScenarioError, ValidationError
 from .health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
-from .structure import (BUILD_CHECKS, Aggregation, BoolMatrix, Resource,
-                        ResourceClass, Process, StructuralModel,
-                        apply_chronic_abstraction, dof_key,
-                        transport_endpoint_failures)
+from .structure import (Aggregation, BoolMatrix, Resource, ResourceClass,
+                        Process, StructuralModel, apply_chronic_abstraction,
+                        dof_key, transport_endpoint_failures)
 
 SCHEMA_VERSION = 1
 DEFAULT_KEY = "default"
 
-#: Validation categories in report order.
+#: Validation categories in the order loading runs them, which is the
+#: order ``validate`` reports them in.
 CHECKS = (
-    "parse", "schema", "resources", "processes", "cross-references",
-    "knowledge-block-mask", "resource-class-consistency",
-    "transport-endpoints", "constraints", "aggregation-partition",
-    "durations", "costs", "capacities", "initial-tokens",
-    "incidence-column-sums", "projection-identity", "health-states",
-    "health-event-normalization", "health-values", "initial-mass",
-    "feasibility-tags", "schedule-references", "schedule-order",
+    "parse", "schema", "cross-references", "resources", "processes",
+    "knowledge-block-mask", "transport-endpoints",
+    "resource-class-consistency", "constraints", "aggregation-partition",
+    "projection-identity", "durations", "costs", "capacities",
+    "incidence-column-sums", "initial-tokens", "health-states",
+    "health-event-normalization", "health-values", "feasibility-tags",
+    "initial-mass", "schedule-references", "schedule-order",
 )
 
 
 def _after(check: str) -> tuple[str, ...]:
     """The checks :data:`CHECKS` lists after ``check``: those a failure
-    that stops loading once ``check`` has run keeps from running."""
+    that stops loading once ``check`` has run keeps from running. Where
+    a check it does not list stands is not known, so a stop there skips
+    every check after the schema."""
+    if check not in CHECKS:
+        check = "schema"
     return CHECKS[CHECKS.index(check) + 1:]
 
 
@@ -93,7 +97,8 @@ class _Collector:
 #   - {"*": node}: an object mapping any name to a value matching node;
 #   - {key: node, ...}: an object with exactly these keys, where "key?"
 #     marks an optional key and "$any_of" lists keys of which at least one
-#     must appear (compile says which wins when several do);
+#     must appear (compile says which wins when several do, or rejects
+#     them);
 #   - (key, node_a, node_b): node_a for an object holding key, else node_b.
 #
 # _checker compiles SCHEMA once, at import, into nested checker closures.
@@ -478,9 +483,46 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
 
     knowledge = resolve(data.get("knowledge_base", []), "knowledge base")
     constraints = resolve(data.get("constraints", []), "constraints")
+    abstraction = data.get("chronic_abstraction", False)
     try:
         model = StructuralModel.build(resources, processes, knowledge,
                                       constraints)
+        if "clinic_buffers" in data and not abstraction:
+            raise ValidationError(
+                "clinic_buffers needs chronic_abstraction: true",
+                check="aggregation-partition")
+        if "aggregation" in data and abstraction:
+            raise ValidationError(
+                "aggregation cannot be combined with chronic_abstraction: "
+                "true", check="aggregation-partition")
+        if abstraction:
+            clinic = None
+            if "clinic_buffers" in data:
+                clinic = []
+                for name in data["clinic_buffers"]:
+                    if name not in buffer_index:
+                        col.add("cross-references", f"clinic_buffers names "
+                                                    f"unknown buffer {name!r}")
+                    else:
+                        clinic.append(buffer_index[name])
+            model = apply_chronic_abstraction(model, clinic)
+        elif "aggregation" in data:
+            pairs = []
+            names = []
+            for i, agg in enumerate(data["aggregation"]):
+                names.append(agg["name"])
+                for member in agg["members"]:
+                    if member not in buffer_index:
+                        col.add("cross-references",
+                                f"aggregation names unknown buffer {member!r}")
+                    else:
+                        pairs.append((i, buffer_index[member]))
+            aggregation = Aggregation(
+                tuple(names),
+                BoolMatrix.from_pairs((len(names), model.n_buffers), pairs))
+            model = StructuralModel.build(model.resources, model.processes,
+                                          model.knowledge, model.constraints,
+                                          aggregation)
     except ValidationError as exc:
         if exc.check == "transport-endpoints":
             # build names only the first process whose endpoints are
@@ -492,56 +534,8 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                 col.add(exc.check, message)
         else:
             col.grab(exc)
-        if exc.check in BUILD_CHECKS:
-            col.skip(BUILD_CHECKS[BUILD_CHECKS.index(exc.check) + 1:])
+        col.skip(_after(exc.check))
         return None
-
-    abstraction = data.get("chronic_abstraction", False)
-    if "clinic_buffers" in data and not abstraction:
-        col.add("aggregation-partition",
-                "clinic_buffers needs chronic_abstraction: true")
-        return None
-    if "aggregation" in data and abstraction:
-        col.add("aggregation-partition",
-                "aggregation cannot be combined with chronic_abstraction: "
-                "true")
-        return None
-    if abstraction:
-        clinic = None
-        if "clinic_buffers" in data:
-            clinic = []
-            for name in data["clinic_buffers"]:
-                if name not in buffer_index:
-                    col.add("cross-references",
-                            f"clinic_buffers names unknown buffer {name!r}")
-                else:
-                    clinic.append(buffer_index[name])
-        try:
-            model = apply_chronic_abstraction(model, clinic)
-        except ValidationError as exc:
-            col.grab(exc)
-            return None
-    elif "aggregation" in data:
-        pairs = []
-        names = []
-        for i, agg in enumerate(data["aggregation"]):
-            names.append(agg["name"])
-            for member in agg["members"]:
-                if member not in buffer_index:
-                    col.add("cross-references",
-                            f"aggregation names unknown buffer {member!r}")
-                else:
-                    pairs.append((i, buffer_index[member]))
-        try:
-            aggregation = Aggregation(
-                tuple(names),
-                BoolMatrix.from_pairs((len(names), model.n_buffers), pairs))
-            model = StructuralModel.build(model.resources, model.processes,
-                                          model.knowledge, model.constraints,
-                                          aggregation)
-        except ValidationError as exc:
-            col.grab(exc)
-            return None
     return model
 
 
@@ -681,8 +675,11 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
     data = doc.data
     model = _build_model(data, col)
     if model is None:
-        col.skip(_after("aggregation-partition"))
         return None
+    ones = model.projection.apply(model.concept.vec_dense())
+    if not np.array_equal(ones, np.ones(model.dof_count, dtype=int)):
+        col.add("projection-identity", "projecting the vectorized concept "
+                                       "matrix does not give all ones")
 
     assumed = data.get("assumed_values", {})
     dof_keys: dict[str, int] = {}
@@ -712,7 +709,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
         net = DeliveryNet.from_model(model, durations, costs, capacities)
     except ValidationError as exc:
         col.grab(exc)
-        col.skip(_after("capacities"))
+        col.skip(_after(exc.check))
         return None
 
     place_index = {name: i for i, name in enumerate(net.place_names)}
@@ -759,7 +756,7 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                 # the checks that need the net do not run for this
                 # individual
                 nets[ind["id"]] = None
-                col.skip(("initial-mass", "feasibility-tags",
+                col.skip(("feasibility-tags", "initial-mass",
                           "schedule-references"))
                 continue
             clean = len(col.failures) == failures
@@ -839,6 +836,9 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                 continue
             delivery_actions.append(DeliveryAction(
                 time, dof_keys[key], entry["individual"], outcome))
+        elif "event" in entry and "event_group" in entry:
+            col.add("schedule-references", f"schedule[{i}]: names both an "
+                                           f"event and an event_group")
         else:
             events = []
             ok = True
@@ -897,16 +897,7 @@ def load_scenario_data(data: Any) -> ScenarioDocument:
         col.skip(_after("schema"))
         raise col.error()
     doc = ScenarioDocument(data)
-    compiled = _compile(doc, col)
-    if compiled is None:
-        col.skip(("projection-identity",))
-    else:
-        model = compiled.model
-        ones = model.projection.apply(model.concept.vec_dense())
-        if not np.array_equal(ones, np.ones(model.dof_count, dtype=int)):
-            col.add("projection-identity",
-                    "projecting the vectorized concept matrix does not give "
-                    "all ones")
+    _compile(doc, col)
     if col:
         raise col.error()
     return doc

@@ -227,13 +227,6 @@ class Aggregation:
                 check="aggregation-partition")
 
 
-#: The checks :meth:`StructuralModel.build` runs, in the order it runs
-#: them. It raises at the first failure, so the checks after it never run.
-BUILD_CHECKS = ("resources", "processes", "knowledge-block-mask",
-                "transport-endpoints", "resource-class-consistency",
-                "constraints", "aggregation-partition")
-
-
 @dataclass(frozen=True)
 class StructuralModel:
     """Frozen structural model: entities, knowledge base, constraints, and
@@ -256,7 +249,11 @@ class StructuralModel:
               knowledge: BoolMatrix | Iterable[tuple[int, int]],
               constraints: BoolMatrix | Iterable[tuple[int, int]] | None = None,
               aggregation: Aggregation | None = None) -> "StructuralModel":
-        """Validate all inputs, derive the concept matrix, and freeze."""
+        """Validate all inputs, derive the concept matrix, and freeze.
+
+        Raises :class:`ValidationError` at the first failure, running its
+        checks in the order ``scenario.CHECKS`` lists them, so the checks
+        after a failing one never run."""
         resources = tuple(resources)
         processes = tuple(processes)
         _check_entities(resources, "resource", "resources")

@@ -83,10 +83,12 @@ class TestSimulateToDirCleanup:
             reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out,
                                     runs=runs)
         assert report_files(out) == ["keep.txt"]
-        with pytest.raises(RuntimeError):
-            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
-                                    tmp_path / "new", runs=runs)
+        for new in (tmp_path / "new", tmp_path / "a" / "b" / "new"):
+            with pytest.raises(RuntimeError):
+                reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
+                                        new, runs=runs)
         assert not (tmp_path / "new").exists()
+        assert not (tmp_path / "a").exists()
 
 
 @pytest.fixture
@@ -137,12 +139,14 @@ class TestSimulateToDirRuns:
         assert report_files(out) == ["keep.txt"]
         assert len(replicates.seen) == 2
 
-        replicates.out, replicates.seen = tmp_path / "new", []
-        with pytest.raises(SimulationError):
-            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
-                                    tmp_path / "new", runs=4)
-        assert replicates.seen == [run_dirs(0), run_dirs(1)]
+        for new in (tmp_path / "new", tmp_path / "a" / "b" / "new"):
+            replicates.out, replicates.seen = new, []
+            with pytest.raises(SimulationError):
+                reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
+                                        new, runs=4)
+            assert replicates.seen == [run_dirs(0), run_dirs(1)]
         assert not (tmp_path / "new").exists()
+        assert not (tmp_path / "a").exists()
 
     def test_zero_runs_rejected_before_anything_runs(self, tmp_path,
                                                      replicates):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from carenets import coordination, scenario
 from carenets.cli import main
 from carenets.coordination import candidate_table
-from carenets.errors import ScenarioError
+from carenets.errors import ScenarioError, ValidationError
 from carenets.scenario import (CHECKS, compile_scenario, load_scenario,
                                load_scenario_data, validate_file)
+from carenets.structure import StructuralModel
 
 from helpers import ACUTE, CHRONIC, CLONE_OFFSETS, chronic_clones
 
@@ -163,6 +164,18 @@ class TestDefectiveDocuments:
         assert failed == {"unlisted": ("a failure outside CHECKS",)}
         assert report.lines()[-2:] == ["FAIL  unlisted",
                                        "      a failure outside CHECKS"]
+
+    def test_stop_outside_listed_checks_skips_all_after_schema(
+            self, monkeypatch):
+        # where an unlisted check stands in CHECKS is not known
+        def build(*args, **kwargs):
+            raise ValidationError("an unlisted stop")
+
+        monkeypatch.setattr(StructuralModel, "build", staticmethod(build))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario_data(acute_data())
+        assert err.value.failures == [("structure", "an unlisted stop")]
+        assert err.value.skipped == CHECKS[2:]
 
     @pytest.mark.parametrize("section, noun, skipped", [
         ("resources", "resource", "processes"),
@@ -712,6 +725,11 @@ COMPILE_MESSAGES = {
                                                "Develop occipital tumor"]}),
         [("schedule-references", "schedule[0]: event group names "
                                  "'Develop occipital tumor' twice")]),
+    # one entry, one action: neither key would win over the other
+    "event-and-event-group": (
+        _set(("schedule", 0, "event_group"), ["Develop occipital tumor"]),
+        [("schedule-references", "schedule[0]: names both an event and an "
+                                 "event_group")]),
     # entering the clinic starts no health event, so the kernel would
     # ignore the outcome
     "outcome-without-health-event": (
@@ -727,6 +745,39 @@ def test_compile_message(mutate, failures):
     data = chronic_data()
     mutate(data)
     assert failures_of(data) == failures
+
+
+def _treatment_with_endpoints():
+    """The acute fixture with its non-transport process ``Treat acute
+    symptoms`` given transport endpoints."""
+    data = acute_data()
+    for spec in data["processes"]:
+        if spec["name"] == "Treat acute symptoms":
+            spec.update(origin="outside clinic", destination="imaging")
+    return data
+
+
+def _compile_defects():
+    for mutate, _ in COMPILE_MESSAGES.values():
+        data = chronic_data()
+        mutate(data)
+        yield data
+
+
+def test_no_check_is_skipped_before_the_failure_that_skipped_it(tmp_path):
+    # validate lists the checks in the order they run, so a check that a
+    # failure kept from running comes after that failure
+    path = tmp_path / "doc.json"
+    skipping = 0
+    for data in [*pinned_corpus(), *_compile_defects(),
+                 _treatment_with_endpoints()]:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        statuses = [r.status for r in validate_file(path).results]
+        if "fail" in statuses:
+            first = statuses.index("fail")
+            assert "skipped" not in statuses[:first]
+            skipping += "skipped" in statuses[first:]
+    assert skipping > 100
 
 
 def test_loading_keeps_the_one_copy_unchanged():
@@ -931,14 +982,15 @@ class TestValidateFile:
         assert statuses["aggregation-partition"] == "fail"
         assert statuses["durations"] == "skipped"
 
-    def test_compile_failure_skips_projection_identity(self, tmp_path):
+    def test_projection_identity_runs_once_the_model_builds(self, tmp_path):
+        # a compile failure after the model builds skips no check
         data = acute_data()
         data["assumed_values"]["durations"]["bogus @ nothing"] = 1.0
         statuses = self.statuses(data, tmp_path)
         assert statuses["durations"] == "fail"
-        assert statuses["projection-identity"] == "skipped"
+        assert statuses["projection-identity"] == "pass"
         assert {s for c, s in statuses.items()
-                if c not in ("durations", "projection-identity")} == {"pass"}
+                if c != "durations"} == {"pass"}
 
 
 class TestCompile:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from carenets.errors import ValidationError
+from carenets.scenario import CHECKS
 from carenets.structure import (Aggregation, BoolMatrix, Process, Resource,
                                 ResourceClass, StructuralModel,
                                 apply_chronic_abstraction, boolean_subtract,
@@ -328,3 +329,50 @@ def test_bad_input_rejected(build, check, message):
     with pytest.raises(ValidationError) as err:
         build()
     assert (err.value.check, str(err.value)) == (check, message)
+
+
+def _valid_inputs():
+    """Arguments of a model that builds: treatment, advice and a transport
+    from the ward to the desk, each at its own resource."""
+    return {"resources": [Resource("ward", F), Resource("desk", D),
+                          Resource("porter", N)],
+            "processes": [Process("treat", F), Process("advise", D),
+                          Process("move", N, origin=0, destination=1)],
+            "knowledge": [(0, 0), (1, 1), (2, 2)]}
+
+
+#: One defect per check that StructuralModel.build runs, each failing
+#: only that check.
+_BUILD_DEFECTS = {
+    "resources": lambda kw: kw["resources"].append(Resource("porter", N)),
+    "processes": lambda kw: kw["processes"].append(
+        Process("move", N, origin=0, destination=1)),
+    "knowledge-block-mask": lambda kw: kw["knowledge"].append((0, 2)),
+    "transport-endpoints": lambda kw: kw["processes"].__setitem__(
+        2, Process("move", N, origin=0)),
+    # the ward serves only advice, so it classifies as a decision resource
+    "resource-class-consistency": lambda kw: kw["knowledge"].__setitem__(
+        0, (1, 0)),
+    "constraints": lambda kw: kw.update(constraints=BoolMatrix.zeros((1, 1))),
+    "aggregation-partition": lambda kw: kw.update(aggregation=Aggregation(
+        ("all",), BoolMatrix.from_pairs((1, 1), [(0, 0)]))),
+}
+
+
+@pytest.mark.parametrize("pair", [
+    ("resources", "processes"),
+    ("processes", "knowledge-block-mask"),
+    ("knowledge-block-mask", "transport-endpoints"),
+    ("transport-endpoints", "resource-class-consistency"),
+    ("resource-class-consistency", "constraints"),
+    ("constraints", "aggregation-partition")], ids="/".join)
+def test_build_runs_its_checks_in_listed_order(pair):
+    # build raises at its first failure, so of two failing checks it
+    # raises the one it runs first: the one CHECKS lists first
+    for defects in [(check,) for check in pair] + [pair]:
+        inputs = _valid_inputs()
+        for check in defects:
+            _BUILD_DEFECTS[check](inputs)
+        with pytest.raises(ValidationError) as err:
+            StructuralModel.build(**inputs)
+        assert err.value.check == min(defects, key=CHECKS.index)
