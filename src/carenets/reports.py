@@ -133,8 +133,10 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
     table and summary. Only a run's summary row outlives its write, so
     memory does not grow with ``runs``. A ``runs`` below 1 raises
     :class:`ValidationError` before anything runs. If a run or a write
-    fails, whatever the exception, the report files written so far are
-    removed, and so is every directory that did not exist before.
+    fails, whatever the exception, the report files are removed from each
+    directory that this call had started writing into, and so is every
+    directory that did not exist before; report files left by an earlier
+    run in a directory not yet written into stay.
     """
     if runs < 1:
         raise ValidationError(f"runs must be at least 1, got {runs}")
@@ -145,12 +147,14 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
     touched = [(parent, False) for parent in reversed(out_dir.parents)
                if not parent.is_dir()]
     touched.append((out_dir, out_dir.is_dir()))
+    written: set[Path] = set()  # the directories writing has started in
     try:
         rows = []
         for k in range(runs):
             run_dir = out_dir if runs == 1 else out_dir / f"run_{k:03d}"
             touched.append((run_dir, run_dir.is_dir()))
             result = compiled.run(mode=mode, seed=seed + k)
+            written.add(run_dir)
             write_run(run_dir, compiled, result, mode, seed + k)
             rows.append((k, seed + k, result.delivery_trajectory[-1].cost,
                          final_outcome_by_individual(result)))
@@ -159,6 +163,7 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
             return out_dir
 
         ids = [ind.id for ind in compiled.individuals]
+        written.add(out_dir)
         with (out_dir / RUNS).open("w", encoding="utf-8",
                                    newline="") as handle:
             writer = csv.writer(handle)
@@ -177,7 +182,7 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
                                        encoding="utf-8")
         return out_dir
     except BaseException:
-        _cleanup(touched)
+        _cleanup(touched, written)
         raise
 
 
@@ -192,14 +197,16 @@ def _stats(label: str, values: list[float]) -> list[str]:
             (("mean", mean), ("min", min(values)), ("max", max(values)))]
 
 
-def _cleanup(touched: list[tuple[Path, bool]]) -> None:
-    """Remove the report files from each (directory, existed before the
-    run) pair, innermost first, and each directory the run created."""
+def _cleanup(touched: list[tuple[Path, bool]], written: set[Path]) -> None:
+    """Remove the report files from each directory in ``written``, and
+    each directory of the (directory, existed before the run) pairs that
+    the run created, innermost first."""
     for directory, existed in reversed(touched):
         if not directory.is_dir():
             continue
-        for name in REPORT_FILES:
-            (directory / name).unlink(missing_ok=True)
+        if directory in written:
+            for name in REPORT_FILES:
+                (directory / name).unlink(missing_ok=True)
         if not existed:
             try:
                 directory.rmdir()

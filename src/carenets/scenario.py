@@ -33,7 +33,7 @@ from .errors import ScenarioError, ValidationError
 from .health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
 from .structure import (Aggregation, BoolMatrix, Resource, ResourceClass,
                         Process, StructuralModel, apply_chronic_abstraction,
-                        dof_key, transport_endpoint_failures)
+                        dof_key, enumerate_dof)
 
 SCHEMA_VERSION = 1
 DEFAULT_KEY = "default"
@@ -459,12 +459,21 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         # StructuralModel.build rejects it on any class of process
         ends = [buffer_index.get(spec[label], -1) if label in spec else None
                 for label in ("origin", "destination")]
-        if cls is ResourceClass.TRANSPORTATION:
+        if cls is not ResourceClass.TRANSPORTATION:
+            if ends != [None, None]:
+                col.add("transport-endpoints",
+                        f"non-transport process {spec['name']!r} must not "
+                        f"carry transport endpoints")
+        else:
             for label, end in zip(("origin", "destination"), ends):
                 if end == -1:
                     col.add("transport-endpoints",
                             f"transport process {spec['name']!r} {label} "
                             f"{spec[label]!r} is not a buffer")
+            if None in ends:
+                col.add("transport-endpoints",
+                        f"transport process {spec['name']!r} needs an origin "
+                        f"and a destination buffer")
         processes.append(Process(spec["name"], cls, *ends))
     proc_index = {p.name: w for w, p in enumerate(processes)}
 
@@ -481,9 +490,35 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                 resolved.append((proc_index[pname], res_index[rname]))
         return resolved
 
+    def buffers(names, label):
+        for name in names:
+            if name not in buffer_index:
+                col.add("cross-references",
+                        f"{label} names unknown buffer {name!r}")
+        return [buffer_index[name] for name in names if name in buffer_index]
+
     knowledge = resolve(data.get("knowledge_base", []), "knowledge base")
     constraints = resolve(data.get("constraints", []), "constraints")
     abstraction = data.get("chronic_abstraction", False)
+    clinic = None
+    if abstraction and "clinic_buffers" in data:
+        clinic = buffers(data["clinic_buffers"], "clinic_buffers")
+    if not abstraction and "aggregation" in data:
+        names = tuple(agg["name"] for agg in data["aggregation"])
+        members = [(i, b) for i, agg in enumerate(data["aggregation"])
+                   for b in buffers(agg["members"], "aggregation")]
+    # each capability key names one cell of the concept matrix
+    cells = enumerate_dof(BoolMatrix((len(processes), len(resources)),
+                                     frozenset(knowledge) - set(constraints)))
+    keys: dict[str, tuple[str, str]] = {}
+    for w, v in cells:
+        pair = processes[w].name, resources[v].name
+        first = keys.setdefault(dof_key(*pair), pair)
+        if first != pair:  # the names join into a key already taken
+            col.add("cross-references",
+                    f"{first[0]!r} at {first[1]!r} and {pair[0]!r} at "
+                    f"{pair[1]!r} share the capability key {dof_key(*pair)!r}")
+
     try:
         model = StructuralModel.build(resources, processes, knowledge,
                                       constraints)
@@ -496,43 +531,18 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
                 "aggregation cannot be combined with chronic_abstraction: "
                 "true", check="aggregation-partition")
         if abstraction:
-            clinic = None
-            if "clinic_buffers" in data:
-                clinic = []
-                for name in data["clinic_buffers"]:
-                    if name not in buffer_index:
-                        col.add("cross-references", f"clinic_buffers names "
-                                                    f"unknown buffer {name!r}")
-                    else:
-                        clinic.append(buffer_index[name])
             model = apply_chronic_abstraction(model, clinic)
         elif "aggregation" in data:
-            pairs = []
-            names = []
-            for i, agg in enumerate(data["aggregation"]):
-                names.append(agg["name"])
-                for member in agg["members"]:
-                    if member not in buffer_index:
-                        col.add("cross-references",
-                                f"aggregation names unknown buffer {member!r}")
-                    else:
-                        pairs.append((i, buffer_index[member]))
-            aggregation = Aggregation(
-                tuple(names),
-                BoolMatrix.from_pairs((len(names), model.n_buffers), pairs))
+            aggregation = Aggregation(names, BoolMatrix.from_pairs(
+                (len(names), model.n_buffers), members))
             model = StructuralModel.build(model.resources, model.processes,
                                           model.knowledge, model.constraints,
                                           aggregation)
     except ValidationError as exc:
-        if exc.check == "transport-endpoints":
-            # build names only the first process whose endpoints are
-            # wrong: name each one instead, except a transport process
-            # given both, whose non-buffer name is reported above
-            for message in transport_endpoint_failures(
-                    [p for p in processes if not p.is_transport
-                     or None in (p.origin, p.destination)], resources):
-                col.add(exc.check, message)
-        else:
+        # the process loop above names every endpoint defect; build's stop
+        # at the first one is recorded only when nothing else failed, so a
+        # disagreement between the two rules still rejects the document
+        if exc.check != "transport-endpoints" or not col:
             col.grab(exc)
         col.skip(_after(exc.check))
         return None
@@ -682,15 +692,8 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                                        "matrix does not give all ones")
 
     assumed = data.get("assumed_values", {})
-    dof_keys: dict[str, int] = {}
-    pairs = [(p.name, r.name) for _, p, r in model.dof_table()]
-    for psi, pair in enumerate(pairs):
-        first = dof_keys.setdefault(dof_key(*pair), psi)
-        if first != psi:  # the names join into a key already taken
-            col.add("cross-references",
-                    f"{pairs[first][0]!r} at {pairs[first][1]!r} and "
-                    f"{pair[0]!r} at {pair[1]!r} share the capability key "
-                    f"{dof_key(*pair)!r}")
+    dof_keys = {dof_key(p.name, r.name): psi
+                for psi, p, r in model.dof_table()}
     durations, costs = (
         _per_dof(dof_keys, model.dof_count, assumed.get(what, {}), what, col)
         for what in ("durations", "costs"))

@@ -350,35 +350,30 @@ def _check_block_mask(processes, resources, knowledge: BoolMatrix) -> None:
                 f"{resources[v].name!r}", check="knowledge-block-mask")
 
 
-def transport_endpoint_failures(processes, resources) -> list[str]:
-    """One message per process whose transport endpoints are wrong: a
+def _check_transport_endpoints(processes, resources) -> None:
+    """Raise at the first process whose transport endpoints are wrong: a
     transport process lacking an origin or destination buffer, or naming
     a buffer id that does not exist, or a non-transport process carrying
     an endpoint."""
     n_buffers = sum(1 for r in resources if r.is_buffer)
-    failures = []
     for p in processes:
         if not p.is_transport:
-            if p.origin is not None or p.destination is not None:
-                failures.append(f"non-transport process {p.name!r} must not "
-                                f"carry transport endpoints")
+            if p.origin is None and p.destination is None:
+                continue
+            message = (f"non-transport process {p.name!r} must not carry "
+                       f"transport endpoints")
         elif p.origin is None or p.destination is None:
-            failures.append(f"transport process {p.name!r} needs an origin "
-                            f"and a destination buffer")
+            message = (f"transport process {p.name!r} needs an origin and a "
+                       f"destination buffer")
+        elif not 0 <= p.origin < n_buffers:
+            message = (f"transport process {p.name!r} origin {p.origin} is "
+                       f"not a buffer id")
+        elif not 0 <= p.destination < n_buffers:
+            message = (f"transport process {p.name!r} destination "
+                       f"{p.destination} is not a buffer id")
         else:
-            for end, label in ((p.origin, "origin"),
-                               (p.destination, "destination")):
-                if not (0 <= end < n_buffers):
-                    failures.append(f"transport process {p.name!r} {label} "
-                                    f"{end} is not a buffer id")
-                    break
-    return failures
-
-
-def _check_transport_endpoints(processes, resources) -> None:
-    failures = transport_endpoint_failures(processes, resources)
-    if failures:
-        raise ValidationError(failures[0], check="transport-endpoints")
+            continue
+        raise ValidationError(message, check="transport-endpoints")
 
 
 def _check_declared_classes(processes, resources, knowledge: BoolMatrix) -> None:

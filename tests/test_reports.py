@@ -129,15 +129,22 @@ class TestSimulateToDirRuns:
             run_dirs(4) + [reports.RUNS, reports.SUMMARY])
 
     def test_failed_replicate_removes_every_run(self, tmp_path, replicates):
-        replicates.out = out = tmp_path / "mc"
         replicates.fail_at = 2
-        out.mkdir()
-        (out / "keep.txt").write_text("mine", encoding="utf-8")
-        with pytest.raises(SimulationError):
-            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out,
-                                    runs=4)
-        assert report_files(out) == ["keep.txt"]
-        assert len(replicates.seen) == 2
+        # an earlier run's reports in --out stay: this run never wrote there
+        for earlier in ((), reports.REPORT_FILES):
+            replicates.out = out = tmp_path / f"mc{len(earlier)}"
+            replicates.seen = []
+            out.mkdir()
+            kept = sorted(["keep.txt", *earlier])
+            for name in kept:
+                (out / name).write_text("mine", encoding="utf-8")
+            with pytest.raises(SimulationError):
+                reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5,
+                                        out, runs=4)
+            assert report_files(out) == kept
+            assert all((out / name).read_text(encoding="utf-8") == "mine"
+                       for name in kept)
+            assert len(replicates.seen) == 2
 
         for new in (tmp_path / "new", tmp_path / "a" / "b" / "new"):
             replicates.out, replicates.seen = new, []
@@ -147,6 +154,20 @@ class TestSimulateToDirRuns:
             assert replicates.seen == [run_dirs(0), run_dirs(1)]
         assert not (tmp_path / "new").exists()
         assert not (tmp_path / "a").exists()
+
+    def test_failed_run_keeps_an_earlier_runs_reports(self, tmp_path,
+                                                      replicates):
+        replicates.out = out = tmp_path / "run"
+        replicates.fail_at = 0
+        out.mkdir()
+        kept = sorted(["keep.txt", *reports.REPORT_FILES[:4]])
+        for name in kept:
+            (out / name).write_text("mine", encoding="utf-8")
+        with pytest.raises(SimulationError):
+            reports.simulate_to_dir(load_scenario(CHRONIC), "sample", 5, out)
+        assert report_files(out) == kept
+        assert all((out / name).read_text(encoding="utf-8") == "mine"
+                   for name in kept)
 
     def test_zero_runs_rejected_before_anything_runs(self, tmp_path,
                                                      replicates):

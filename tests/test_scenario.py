@@ -603,8 +603,44 @@ def _shared_key(data):
         data["assumed_values"][table]["a @ b @ c"] = 1.0
 
 
+def _shared_key_eliminated(data):
+    """Transport processes ``a`` and ``a @ b`` between two clinic buffers,
+    at resources ``b @ c`` and ``c``: the chronic abstraction eliminates
+    both capabilities, whose names join into the key ``a @ b @ c``."""
+    data["resources"] += [{"name": "b @ c", "class": "transportation"},
+                          {"name": "c", "class": "transportation"}]
+    data["processes"] += [
+        {"name": "a", "class": "transportation", "origin": "neurosurgery",
+         "destination": "oncology"},
+        {"name": "a @ b", "class": "transportation", "origin": "oncology",
+         "destination": "neurosurgery"}]
+    data["knowledge_base"] += [["a", "b @ c"], ["a @ b", "c"]]
+
+
+def _duplicate_resource(mutate):
+    """``mutate``, then repeat the first resource, so that building the
+    structural model stops at ``resources``."""
+    def both(data):
+        mutate(data)
+        data["resources"].append(dict(data["resources"][0]))
+    return both
+
+
+def _acute_endpoint_defects(data):
+    """Replace ``data`` by the acute fixture whose first transport process
+    has an origin naming no buffer and whose second has no destination."""
+    data.clear()
+    data.update(acute_data())
+    first, second = [spec for spec in data["processes"]
+                     if spec["class"] == "transportation"][:2]
+    first["origin"] = "nowhere"
+    del second["destination"]
+
+
 _ENTER = "'Enter clinic @ patient'"
 _PATIENT = "individual 'patient'"
+_SHARED = ("cross-references", "'a' at 'b @ c' and 'a @ b' at 'c' share the "
+                               "capability key 'a @ b @ c'")
 
 def _endpoints(**ends):
     """Give the chronic fixture's non-transport processes ``Perform
@@ -712,6 +748,36 @@ COMPILE_MESSAGES = {
         _shared_key,
         [("cross-references", "'a' at 'b @ c' and 'a @ b' at 'c' share the "
                               "capability key 'a @ b @ c'")]),
+    # keys are checked before the chronic abstraction eliminates any
+    # capability (loads on the parent)
+    "capability-key-shared-eliminated": (_shared_key_eliminated, [_SHARED]),
+    # every name resolves before the structural model is built, so a build
+    # stop hides no cross-reference or endpoint failure (each of the next
+    # four reports only its build stop on the parent)
+    "capability-key-shared-duplicate-resource": (
+        _duplicate_resource(_shared_key),
+        [_SHARED, ("resources", "duplicate resource name 'neurosurgery'")]),
+    "clinic-buffer-unknown-duplicate-resource": (
+        _duplicate_resource(lambda data: data.update(
+            clinic_buffers=["nowhere"])),
+        [("cross-references",
+          "clinic_buffers names unknown buffer 'nowhere'"),
+         ("resources", "duplicate resource name 'neurosurgery'")]),
+    "aggregation-unknown-duplicate-resource": (
+        _duplicate_resource(_aggregated(["outside clinic"],
+                                        [*CLINIC, "nowhere"])),
+        [("cross-references", "aggregation names unknown buffer 'nowhere'"),
+         ("resources", "duplicate resource name 'neurosurgery'")]),
+    # one failure per endpoint defect, in process order
+    "acute-endpoints-duplicate-resource": (
+        _duplicate_resource(_acute_endpoint_defects),
+        [("transport-endpoints",
+          "transport process 'Go from emergency room to orthopedic "
+          "surgery' origin 'nowhere' is not a buffer"),
+         ("transport-endpoints",
+          "transport process 'Go from emergency room to physical therapy' "
+          "needs an origin and a destination buffer"),
+         ("resources", "duplicate resource name 'emergency room'")]),
     # one place can come to hold every token, so the total must fit int64
     "initial-tokens-total": (
         _set(("initial_tokens",),
