@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,10 +228,57 @@ class TraceRow(NamedTuple):
     kind: str
 
 
+class Table(Sequence):
+    """Rows of the ``NamedTuple`` type ``row``, stored as one list per
+    field in :attr:`columns`, which the kernel appends to.
+
+    The table reads as a sequence of rows: indexing, slicing and
+    iteration build each row on access and keep none, ``len`` is the
+    length of a column, and a table equals a list or table of equal rows.
+    A run's columns hold only numbers, strings, None and arrays, which
+    the garbage collector does not track, so a long run leaves it nothing
+    to scan.
+    """
+
+    __slots__ = ("row", "columns")
+
+    def __init__(self, row: type):
+        self.row = row
+        self.columns = tuple([] for _ in row._fields)
+
+    def column(self, name: str) -> list:
+        return self.columns[self.row._fields.index(name)]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self.row, *(c[index] for c in self.columns)))
+        return self.row(*[c[index] for c in self.columns])
+
+    def __iter__(self):
+        return map(self.row, *self.columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Table, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Table({list(self)!r})"
+
+
 @dataclass
 class RunResult:
-    trace: list[TraceRow] = field(default_factory=list)
-    delivery_trajectory: list[TrajectoryPoint] = field(default_factory=list)
+    """A run's outputs. The trace has one row per event; the delivery
+    trajectory has the initial point, then one point per delivery
+    firing."""
+
+    trace: Table = field(default_factory=lambda: Table(TraceRow))
+    delivery_trajectory: Table = field(
+        default_factory=lambda: Table(TrajectoryPoint))
     outcome_series: list[tuple[float, str, float]] = field(
         default_factory=list)
     # the delivery marking after the last firing, busy tokens included
@@ -242,15 +290,17 @@ class RunResult:
     def coupling_checks(self) -> list[tuple[float, int]]:
         """(time, psi) of each delivery start, the firings whose coupling
         the entry checks prove."""
-        return [(point.time, point.psi) for point in self.delivery_trajectory
-                if point.kind == "start"]
+        times, psis, kinds = self.delivery_trajectory.columns[:3]
+        return [(time, psi) for time, psi, kind in zip(times, psis, kinds)
+                if kind == "start"]
 
     @property
     def cost_series(self) -> list[tuple[float, float]]:
         """(time, cumulative cost) at the start and after each delivery
         completion."""
-        return [(point.time, point.cost) for point in self.delivery_trajectory
-                if point.kind != "start"]
+        times, _, kinds, _, costs = self.delivery_trajectory.columns
+        return [(time, cost) for time, kind, cost in zip(times, kinds, costs)
+                if kind != "start"]
 
 
 class HealthCompletion(NamedTuple):
@@ -300,8 +350,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         return ValidationError(f"{kind} action at t={action.time} for "
                                f"individual {action.individual!r}: {message}")
 
-    schedule: list[tuple] = []  # (time, rank, position, action)
-    for action in (*delivery_actions, *health_actions):
+    # (time, rank, position in actions): sorted keys that hold only
+    # numbers, so the garbage collector stops tracking them
+    actions = (*delivery_actions, *health_actions)
+    schedule: list[tuple[float, int, int]] = []
+    for action in actions:
         if action.individual not in by_id:
             raise ValidationError(
                 f"schedule names unknown individual {action.individual!r}")
@@ -316,7 +369,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                                    f"for a net of {n_states} states")
         rank = (DELIVERY_START if isinstance(action, DeliveryAction)
                 else HEALTH_ACTION)
-        schedule.append((time, rank, len(schedule), action))
+        schedule.append((time, rank, len(schedule)))
     schedule.sort()
     for action in delivery_actions:
         if not 0 <= action.psi < net.n_transitions:
@@ -375,16 +428,23 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     rng = np.random.default_rng(seed) if mode == "sample" else None
     markings = {ind.id: ind.initial for ind in individuals}
     result = RunResult()
-    result.delivery_trajectory.append(
-        TrajectoryPoint(0.0, None, "initial", initial.place_tokens, 0.0))
+    # rows go into the columns through bound appends, so no record object
+    # is built per event
+    (add_time, add_net, add_label, add_index,
+     add_kind) = (c.append for c in result.trace.columns)
+    (add_point_time, add_psi, add_point_kind, add_tokens,
+     add_cost) = (c.append for c in result.delivery_trajectory.columns)
+    add_outcome = result.outcome_series.append
+    for column, value in zip(result.delivery_trajectory.columns,
+                             (0.0, None, "initial", initial.place_tokens,
+                              0.0)):
+        column.append(value)
 
     health_net = {ind.id: f"health:{ind.id}" for ind in individuals}
     labels = [t.label for t in net.transitions]
     durations = net.durations.tolist()
     costs = net.costs.tolist()
     capacities = net.capacities.tolist()
-    trace = result.trace
-    trajectory = result.delivery_trajectory
 
     marking = initial
     total_cost = 0.0
@@ -396,9 +456,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
     def record_outcome(time: float, ind_id: str) -> None:
         # health.health_outcome without its per-call checks
-        result.outcome_series.append(
-            (time, ind_id,
-             float(by_id[ind_id].net.values @ markings[ind_id].state_mass)))
+        add_outcome((time, ind_id, float(
+            by_id[ind_id].net.values.dot(markings[ind_id].state_mass))))
 
     def start_health_event(time, ind_id, event, outcome):
         hnet = by_id[ind_id].net
@@ -407,8 +466,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         heappush(heap, (time + hnet.events[event].duration,
                         HEALTH_COMPLETION, next(seq),
                         HealthCompletion(ind_id, event, column)))
-        trace.append(TraceRow(time, health_net[ind_id],
-                              hnet.events[event].name, event, "start"))
+        add_time(time)
+        add_net(health_net[ind_id])
+        add_label(hnet.events[event].name)
+        add_index(event)
+        add_kind("start")
         record_outcome(time, ind_id)
 
     for ind in individuals:
@@ -419,7 +481,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         if heap and (position == n_scheduled or heap[0] < schedule[position]):
             time, rank, _, event = heappop(heap)
         else:
-            time, rank, _, event = schedule[position]
+            time, rank, index = schedule[position]
+            event = actions[index]
             position += 1
         ind_id = event.individual
         try:
@@ -431,10 +494,16 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     raise CapacityError(
                         f"transition {psi} ({labels[psi]}) exceeds its "
                         f"concurrent capacity of {capacities[psi]}")
-                trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                      "start"))
-                trajectory.append(TrajectoryPoint(
-                    time, psi, "start", marking.place_tokens, total_cost))
+                add_time(time)
+                add_net("delivery")
+                add_label(labels[psi])
+                add_index(psi)
+                add_kind("start")
+                add_point_time(time)
+                add_psi(psi)
+                add_point_kind("start")
+                add_tokens(marking.place_tokens)
+                add_cost(total_cost)
                 heappush(heap, (time + durations[psi], DELIVERY_COMPLETION,
                                 next(seq), event))
 
@@ -448,10 +517,16 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 psi = event.psi
                 marking = step(net, marking, psi, "complete")
                 total_cost += costs[psi]
-                trace.append(TraceRow(time, "delivery", labels[psi], psi,
-                                      "complete"))
-                trajectory.append(TrajectoryPoint(
-                    time, psi, "complete", marking.place_tokens, total_cost))
+                add_time(time)
+                add_net("delivery")
+                add_label(labels[psi])
+                add_index(psi)
+                add_kind("complete")
+                add_point_time(time)
+                add_psi(psi)
+                add_point_kind("complete")
+                add_tokens(marking.place_tokens)
+                add_cost(total_cost)
 
             elif rank == HEALTH_ACTION:
                 hnet, events = by_id[ind_id].net, event.events
@@ -476,8 +551,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 hnet, ev = by_id[ind_id].net, event.event
                 markings[ind_id] = health.apply_completion(
                     hnet, markings[ind_id], ev, event.column)
-                trace.append(TraceRow(time, health_net[ind_id],
-                                      hnet.events[ev].name, ev, "complete"))
+                add_time(time)
+                add_net(health_net[ind_id])
+                add_label(hnet.events[ev].name)
+                add_index(ev)
+                add_kind("complete")
                 record_outcome(time, ind_id)
 
         except CareNetsError as exc:
@@ -495,12 +573,16 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
     # Costs are non-negative and the queue pops times in order, so the
     # clock and the cost only grow: if both end finite, every record is.
-    if trace and not math.isfinite(trace[-1].time):
-        row = next(row for row in trace if not math.isfinite(row.time))
-        time, where, label, what = row.time, row.net, row.label, "clock"
+    times, nets, row_labels, _, _ = result.trace.columns
+    if times and not math.isfinite(times[-1]):
+        k = next(k for k, time in enumerate(times) if not math.isfinite(time))
+        time, where, label, what = times[k], nets[k], row_labels[k], "clock"
     elif not math.isfinite(total_cost):
-        point = next(p for p in trajectory if not math.isfinite(p.cost))
-        time, where, label = point.time, "delivery", labels[point.psi]
+        point_times, psis, _, _, point_costs = \
+            result.delivery_trajectory.columns
+        k = next(k for k, cost in enumerate(point_costs)
+                 if not math.isfinite(cost))
+        time, where, label = point_times[k], "delivery", labels[psis[k]]
         what = "cumulative cost"
     else:
         result.final_marking, result.final_health = marking, dict(markings)

@@ -220,8 +220,8 @@ def health_outcome(values: np.ndarray, state_mass: np.ndarray) -> float:
 def is_enabled(net: HealthNet, marking: HealthMarking, event: int) -> bool:
     """Whether every input state holds the event's ``consumes`` weight,
     the mass one firing takes from it."""
-    return bool((marking.state_mass - net.m_minus[:, event])
-                .min(initial=0.0) >= -ENABLE_TOL)
+    return bool(np.minimum.reduce(marking.state_mass - net.m_minus[:, event],
+                                  initial=0.0) >= -ENABLE_TOL)
 
 
 def sample_branch(net: HealthNet, event: int,
@@ -256,7 +256,8 @@ def start_event(net: HealthNet, marking: HealthMarking,
     column: the column form of :func:`fuzzy_step` with a single unit
     start entry."""
     state_mass = marking.state_mass - net.m_minus[:, event]
-    if state_mass.min(initial=0.0) < -ENABLE_TOL:
+    # np.minimum.reduce is ndarray.min without its Python wrapper
+    if np.minimum.reduce(state_mass, initial=0.0) < -ENABLE_TOL:
         state = int(state_mass.argmin())
         raise NotEnabledError(
             f"health event {net.events[event].name!r} not enabled: "

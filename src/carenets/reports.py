@@ -56,7 +56,7 @@ def write_trace_csv(path: Path, result: RunResult) -> None:
     times, names = _Memo(_fmt), _Memo(_quote)
     rows = ["time,net,event_label,psi_or_event_index,kind\r\n"]
     rows += [f"{times[time]},{names[net]},{names[label]},{index},{kind}\r\n"
-             for time, net, label, index, kind in result.trace]
+             for time, net, label, index, kind in zip(*result.trace.columns)]
     path.write_text("".join(rows), encoding="utf-8", newline="")
 
 
@@ -68,7 +68,7 @@ def write_delivery_csv(path: Path, result: RunResult,
     places = "".join(f"{_quote(f'place:{name}')}," for name in place_names)
     rows = [f"time,event_index,psi,kind,{places}cumulative_cost\r\n"]
     for index, (time, psi, kind, place_tokens, cost) in enumerate(
-            result.delivery_trajectory):
+            zip(*result.delivery_trajectory.columns)):
         key = place_tokens.tobytes()
         tokens = joined.get(key)
         if tokens is None:
@@ -88,6 +88,7 @@ def write_outcomes_csv(path: Path, result: RunResult) -> None:
 
 def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
                   mode: str, seed: int | None) -> None:
+    trajectory = result.delivery_trajectory
     lines = [
         f"scenario: {compiled.doc.name}",
         f"mode: {mode}",
@@ -97,9 +98,9 @@ def write_summary(path: Path, compiled: CompiledScenario, result: RunResult,
         f"individuals: {len(compiled.individuals)}",
         f"events applied: {len(result.trace)}",
         f"delivery completions: "
-        f"{sum(p.kind == 'complete' for p in result.delivery_trajectory)}",
+        f"{trajectory.column('kind').count('complete')}",
         f"skipped optional health actions: {result.skipped_actions}",
-        f"final cost: {_fmt(result.delivery_trajectory[-1].cost)}",
+        f"final cost: {_fmt(trajectory.column('cost')[-1])}",
     ]
     for i, name in enumerate(compiled.net.place_names):
         lines.append(f"final tokens at {name}: "
@@ -156,7 +157,8 @@ def simulate_to_dir(doc: ScenarioDocument, mode: str, seed: int,
             result = compiled.run(mode=mode, seed=seed + k)
             written.add(run_dir)
             write_run(run_dir, compiled, result, mode, seed + k)
-            rows.append((k, seed + k, result.delivery_trajectory[-1].cost,
+            rows.append((k, seed + k,
+                         result.delivery_trajectory.column("cost")[-1],
                          final_outcome_by_individual(result)))
             del result  # one result alive at a time
         if runs == 1:

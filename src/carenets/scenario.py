@@ -544,7 +544,13 @@ def _build_model(data: dict, col: _Collector) -> StructuralModel | None:
         # disagreement between the two rules still rejects the document
         if exc.check != "transport-endpoints" or not col:
             col.grab(exc)
-        col.skip(_after(exc.check))
+        # and so a stop at a listed check before build's own endpoint
+        # check does not skip it
+        skipped = _after(exc.check)
+        if exc.check in CHECKS:
+            skipped = tuple(check for check in skipped
+                            if check != "transport-endpoints")
+        col.skip(skipped)
         return None
     return model
 

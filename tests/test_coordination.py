@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 from carenets import coordination, delivery, health
 from carenets.cli import main
 from carenets.coordination import (DeliveryAction, HealthAction, Individual,
-                                   build_feasibility,
+                                   Table, TraceRow, build_feasibility,
                                    build_transform_selector,
                                    candidate_table, cosimulate,
                                    induce_health_firing, induced_event,
                                    process_table, system_firing)
-from carenets.delivery import DeliveryNet, Marking
+from carenets.delivery import DeliveryNet, Marking, TrajectoryPoint
 from carenets.errors import (AmbiguousHealthEventError, CapacityError,
                              InfeasibleCareActionError, SimulationError,
                              ValidationError)
@@ -1053,3 +1054,55 @@ def test_trajectory_tokens_match_a_step_replay_of_the_trace(request, name,
                           markings[-1].place_tokens)
     assert np.array_equal(result.final_marking.busy_tokens,
                           markings[-1].busy_tokens)
+
+
+def _run_of(request, name):
+    """A run of a fixture in sample mode, or a replay of 50 chronic clones
+    shifted by eighths of a day."""
+    if name == "cohort":
+        offsets = [k / 8 for k in range(50)]
+        return compile_scenario(load_scenario_data(
+            chronic_clones(offsets))).run(mode="replay")
+    return request.getfixturevalue(name).run(mode="sample", seed=3)
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic", "cohort"])
+def test_run_columns_hold_no_object_the_collector_tracks(request, name):
+    result = _run_of(request, name)
+    tables = (result.trace, result.delivery_trajectory)
+    assert len(result.trace) > len(result.delivery_trajectory) > 1
+    for table in tables:
+        assert len({len(column) for column in table.columns}) == 1
+        for column in table.columns:
+            assert not any(map(gc.is_tracked, column))
+
+
+@pytest.mark.parametrize("name", ["acute", "chronic", "cohort"])
+def test_run_tables_read_as_their_rows(request, name):
+    result = _run_of(request, name)
+    for table, row in ((result.trace, TraceRow),
+                       (result.delivery_trajectory, TrajectoryPoint)):
+        rows = [row(*values) for values in zip(*table.columns)]
+        n = len(rows)
+        assert len(table) == n
+        assert all(type(item) is row for item in table)
+        assert list(table) == rows
+        assert [table[k] for k in range(-n, n)] == rows + rows
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        for part in (slice(None), slice(3, 9), slice(-5, None),
+                     slice(None, None, -2), slice(n, n + 4)):
+            assert table[part] == rows[part]
+        assert table == rows and rows == table
+        assert table != rows[:-1] and table != rows + rows[:1]
+        twin = Table(row)
+        for mine, theirs in zip(table.columns, twin.columns):
+            theirs += mine
+        assert table == twin
+        twin.columns[0][-1] = -1.0
+        assert table != twin
+        assert table != tuple(rows)
+    again = _run_of(request, name)
+    if name != "acute":  # a sampled acute run has arrays that differ
+        assert result.trace == again.trace

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from carenets import reports
 from carenets.cli import main
-from carenets.coordination import RunResult, TraceRow
-from carenets.delivery import TrajectoryPoint
+from carenets.coordination import RunResult
 from carenets.errors import SimulationError, ValidationError
 from carenets.scenario import (CompiledScenario, compile_scenario,
                                load_scenario)
@@ -198,11 +197,16 @@ def run_results(draw):
     labels = draw(st.lists(_TEXT, min_size=1, max_size=4))
     nets = ["delivery"] + [f"health:{i}" for i in ids]
     result = RunResult()
+
+    def add(table, *row):
+        for column, value in zip(table.columns, row, strict=True):
+            column.append(value)
+
     for _ in range(draw(st.integers(0, 12))):
-        result.trace.append(TraceRow(
+        add(result.trace,
             draw(_FLOAT), draw(st.sampled_from(nets)),
             draw(st.sampled_from(labels)), draw(st.integers(0, 40)),
-            draw(st.sampled_from(["start", "complete"]))))
+            draw(st.sampled_from(["start", "complete"])))
 
     places = draw(st.lists(_TEXT, max_size=4))
     tokens = st.lists(st.integers(0, 10 ** 6), min_size=len(places),
@@ -211,13 +215,13 @@ def run_results(draw):
     def place_tokens():
         return np.array(draw(tokens), dtype=int)
 
-    result.delivery_trajectory.append(
-        TrajectoryPoint(0.0, None, "initial", place_tokens(), draw(_FLOAT)))
+    add(result.delivery_trajectory,
+        0.0, None, "initial", place_tokens(), draw(_FLOAT))
     for _ in range(draw(st.integers(0, 10))):
-        result.delivery_trajectory.append(TrajectoryPoint(
+        add(result.delivery_trajectory,
             draw(_FLOAT), draw(st.integers(0, 40)),
             draw(st.sampled_from(["start", "complete"])), place_tokens(),
-            draw(_FLOAT)))
+            draw(_FLOAT))
 
     for _ in range(draw(st.integers(0, 10))):
         result.outcome_series.append(

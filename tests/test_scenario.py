@@ -998,6 +998,27 @@ class TestValidateFile:
         out = capsys.readouterr().out
         assert "SKIP  durations" in out and "PASS  durations" not in out
 
+    @pytest.mark.parametrize("drop, status", [((), "PASS"),
+                                              (("origin",), "FAIL")],
+                             ids=["sound", "no-origin"])
+    def test_build_stop_does_not_skip_the_endpoint_check(
+            self, drop, status, tmp_path, capsys):
+        # every endpoint is checked before the structural model is built,
+        # so the build's stop at a repeated resource leaves it reported
+        data = chronic_data()
+        (enter,) = [process for process in data["processes"]
+                    if process["name"] == "Enter clinic"]
+        for key in drop:
+            del enter[key]
+        _duplicate_resource(lambda data: data.update(
+            clinic_buffers=["nowhere"]))(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"{status}  transport-endpoints" in out
+        assert "FAIL  resources" in out and "SKIP  processes" in out
+
     @pytest.mark.parametrize("table, key, value, failure", [
         ("health_state_values", "healthy", 2.0,
          ("health-values", "state values must lie in [0, 1]")),
