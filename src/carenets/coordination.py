@@ -26,10 +26,11 @@ and changes markings only through :func:`delivery.step` and the
 :mod:`health` primitives. Its queue is a schedule sorted once, merged
 with a heap of in-flight completions: the scheduled actions are sorted by
 (time, rank, position) before the loop, and the heap holds only the
-completions queued since. A delivery start queues its own
-:class:`DeliveryAction` as its completion. The matrix algebra builds and
-verifies the nets; the kernel runs on index tables read off the same
-matrices.
+completions queued since. The scheduled actions arrive as two
+tables (:class:`Table`), and the kernel reads their columns: an action is its
+rank and its position in its own table, and a delivery start queues that
+position as its completion. The matrix algebra builds and verifies the
+nets; the kernel runs on index tables read off the same matrices.
 A delivery firing moves one token through the net's ``origin`` and
 ``destination`` tables (:func:`delivery.step`). Once per call the kernel
 reads the transformation process of each transition
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -181,8 +182,7 @@ def candidate_table(feasibility: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(events[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryAction:
+class DeliveryAction(NamedTuple):
     """Scheduled start of a delivery transition by one individual."""
 
     time: float
@@ -191,8 +191,7 @@ class DeliveryAction:
     outcome: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class HealthAction:
+class HealthAction(NamedTuple):
     """Scheduled spontaneous health event.
 
     ``events`` lists one or more distinct candidate stochastic events;
@@ -229,24 +228,28 @@ class TraceRow(NamedTuple):
 
 
 class Table(Sequence):
-    """Rows of the ``NamedTuple`` type ``row``, stored as one list per
-    field in :attr:`columns`, which the kernel appends to.
+    """Rows of the ``NamedTuple`` type ``row``, stored as one sequence per
+    field in :attr:`columns`: new empty lists, which a run's kernel
+    appends to, or the given ``columns``, such as a compiled schedule's
+    tuples.
 
     The table reads as a sequence of rows: indexing, slicing and
     iteration build each row on access and keep none, ``len`` is the
-    length of a column, and a table equals a list or table of equal rows.
-    A run's columns hold only numbers, strings, None and arrays, which
-    the garbage collector does not track, so a long run leaves it nothing
-    to scan.
+    length of a column, and a table equals a list or table of equal rows,
+    array fields compared by value. A table's columns hold only numbers,
+    strings, None, arrays and tuples of numbers, which the garbage
+    collector does not track (a tuple from the first collection that sees
+    it), so a long run or a large schedule leaves it nothing to scan.
     """
 
     __slots__ = ("row", "columns")
 
-    def __init__(self, row: type):
+    def __init__(self, row: type, columns: Iterable[Sequence] | None = None):
         self.row = row
-        self.columns = tuple([] for _ in row._fields)
+        self.columns = (tuple([] for _ in row._fields) if columns is None
+                        else tuple(columns))
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> Sequence:
         return self.columns[self.row._fields.index(name)]
 
     def __len__(self) -> int:
@@ -263,11 +266,26 @@ class Table(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Table, list)):
             return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
+        return len(self) == len(other) and all(map(_same_row, self, other))
 
     def __repr__(self) -> str:
         return f"Table({list(self)!r})"
+
+
+def _same_row(mine: tuple, theirs) -> bool:
+    """Whether two rows hold equal fields, arrays compared by value."""
+    return (isinstance(theirs, tuple) and len(mine) == len(theirs)
+            and all(np.array_equal(a, b)
+                    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                    else a == b for a, b in zip(mine, theirs)))
+
+
+def _columns(actions: Sequence, row: type) -> tuple[Sequence, ...]:
+    """The fields of ``actions`` as columns: a :class:`Table`'s own, or
+    any other sequence of ``row`` tuples transposed once."""
+    if isinstance(actions, Table):
+        return actions.columns
+    return tuple(zip(*actions)) or ((),) * len(row._fields)
 
 
 @dataclass
@@ -338,6 +356,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     run. Bad inputs raise :class:`ValidationError` before any event runs;
     an event the state cannot support, or a clock or cumulative cost that
     leaves the finite floats, raises :class:`SimulationError` naming it.
+    The actions are read by column: a :class:`Table`'s columns as they
+    are, and any other sequence of rows transposed once per call.
     """
     if mode not in ("replay", "sample"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -345,49 +365,62 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     if len(by_id) != len(individuals):
         raise ValidationError("duplicate individual ids")
 
-    def rejected(action, message: str) -> ValidationError:
-        kind = "delivery" if isinstance(action, DeliveryAction) else "health"
-        return ValidationError(f"{kind} action at t={action.time} for "
-                               f"individual {action.individual!r}: {message}")
+    def rejected(kind: str, time, ind_id: str,
+                 message: str) -> ValidationError:
+        return ValidationError(f"{kind} action at t={time} for individual "
+                               f"{ind_id!r}: {message}")
 
-    # (time, rank, position in actions): sorted keys that hold only
-    # numbers, so the garbage collector stops tracking them
-    actions = (*delivery_actions, *health_actions)
+    # the actions are read by column and named by their position in their
+    # own table
+    d_times, d_psis, d_individuals, d_outcomes = _columns(
+        delivery_actions, DeliveryAction)
+    h_times, h_individuals, h_events, h_outcomes, h_optional = _columns(
+        health_actions, HealthAction)
+
+    # (time, rank, position): sorted keys that hold only numbers, so the
+    # garbage collector stops tracking them
     schedule: list[tuple[float, int, int]] = []
-    for action in actions:
-        if action.individual not in by_id:
-            raise ValidationError(
-                f"schedule names unknown individual {action.individual!r}")
-        time = float(action.time)
-        # not time >= 0 also catches NaN, which has no place in the order
-        if isinstance(action.time, bool) or not time >= 0:
-            raise rejected(action, f"time {action.time!r} is not a number "
-                                   f">= 0")
-        n_states = by_id[action.individual].net.n_states
-        if action.outcome is not None and not 0 <= action.outcome < n_states:
-            raise rejected(action, f"state {action.outcome} is out of range "
-                                   f"for a net of {n_states} states")
-        rank = (DELIVERY_START if isinstance(action, DeliveryAction)
-                else HEALTH_ACTION)
-        schedule.append((time, rank, len(schedule)))
+    for kind, rank, times, ind_ids, outcomes in (
+            ("delivery", DELIVERY_START, d_times, d_individuals, d_outcomes),
+            ("health", HEALTH_ACTION, h_times, h_individuals, h_outcomes)):
+        for position, (raw, ind_id, outcome) in enumerate(
+                zip(times, ind_ids, outcomes)):
+            if ind_id not in by_id:
+                raise ValidationError(
+                    f"schedule names unknown individual {ind_id!r}")
+            time = float(raw)
+            # not time >= 0 also catches NaN, which has no place in the
+            # order
+            if isinstance(raw, bool) or not time >= 0:
+                raise rejected(kind, raw, ind_id,
+                               f"time {raw!r} is not a number >= 0")
+            n_states = by_id[ind_id].net.n_states
+            if outcome is not None and not 0 <= outcome < n_states:
+                raise rejected(kind, raw, ind_id,
+                               f"state {outcome} is out of range for a net "
+                               f"of {n_states} states")
+            schedule.append((time, rank, position))
     schedule.sort()
-    for action in delivery_actions:
-        if not 0 <= action.psi < net.n_transitions:
-            raise rejected(action, f"transition {action.psi} is out of range "
-                                   f"for a net of {net.n_transitions} "
-                                   f"transitions")
-    for action in health_actions:
-        events = by_id[action.individual].net.events
-        if not action.events or len(set(action.events)) != len(action.events):
-            raise rejected(action, f"events {list(action.events)} must name "
-                                   f"at least one event, each once")
-        for ev in action.events:
-            if not 0 <= ev < len(events):
-                raise rejected(action, f"event {ev} is out of range for a "
-                                       f"net of {len(events)} events")
-            if not events[ev].is_stochastic:
-                raise rejected(action, f"induced event {events[ev].name!r} "
-                                       f"cannot be scheduled directly")
+    for time, psi, ind_id in zip(d_times, d_psis, d_individuals):
+        if not 0 <= psi < net.n_transitions:
+            raise rejected("delivery", time, ind_id,
+                           f"transition {psi} is out of range for a net of "
+                           f"{net.n_transitions} transitions")
+    for time, ind_id, events in zip(h_times, h_individuals, h_events):
+        net_events = by_id[ind_id].net.events
+        if not events or len(set(events)) != len(events):
+            raise rejected("health", time, ind_id,
+                           f"events {list(events)} must name at least one "
+                           f"event, each once")
+        for ev in events:
+            if not 0 <= ev < len(net_events):
+                raise rejected("health", time, ind_id,
+                               f"event {ev} is out of range for a net of "
+                               f"{len(net_events)} events")
+            if not net_events[ev].is_stochastic:
+                raise rejected("health", time, ind_id,
+                               f"induced event {net_events[ev].name!r} "
+                               f"cannot be scheduled directly")
     # The loop reads the markings and the tables below by index, so each
     # must have the shape of its net: a wrong one would fail mid-run or
     # pass unnoticed.
@@ -448,9 +481,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
 
     marking = initial
     total_cost = 0.0
-    # Completions in flight, (time, rank, seq, completion). Their sequence
-    # numbers follow every schedule position, so merging the heap with the
-    # sorted schedule pops events in the order of one queue holding both.
+    # Completions in flight, (time, rank, seq, completion): a delivery
+    # completion is its action's position, a health one a HealthCompletion.
+    # Their sequence numbers follow every schedule position, so merging the
+    # heap with the sorted schedule pops events in the order of one queue
+    # holding both.
     heap: list[tuple] = []
     seq = itertools.count(len(schedule))
 
@@ -479,16 +514,14 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     position, n_scheduled = 0, len(schedule)
     while heap or position < n_scheduled:
         if heap and (position == n_scheduled or heap[0] < schedule[position]):
-            time, rank, _, event = heappop(heap)
+            time, rank, _, entry = heappop(heap)
         else:
-            time, rank, index = schedule[position]
-            event = actions[index]
+            time, rank, entry = schedule[position]
             position += 1
-        ind_id = event.individual
         try:
             # most frequent first
             if rank == DELIVERY_START:
-                psi = event.psi
+                psi, ind_id = d_psis[entry], d_individuals[entry]
                 marking = step(net, marking, psi, "start")
                 if marking.busy_tokens[psi] > capacities[psi]:
                     raise CapacityError(
@@ -505,16 +538,16 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 add_tokens(marking.place_tokens)
                 add_cost(total_cost)
                 heappush(heap, (time + durations[psi], DELIVERY_COMPLETION,
-                                next(seq), event))
+                                next(seq), entry))
 
                 process = process_of[psi]
                 if process >= 0:
                     ev = induced_event(by_id[ind_id].net, markings[ind_id],
                                        process, candidates[ind_id][process])
-                    start_health_event(time, ind_id, ev, event.outcome)
+                    start_health_event(time, ind_id, ev, d_outcomes[entry])
 
             elif rank == DELIVERY_COMPLETION:
-                psi = event.psi
+                psi, ind_id = d_psis[entry], d_individuals[entry]
                 marking = step(net, marking, psi, "complete")
                 total_cost += costs[psi]
                 add_time(time)
@@ -529,11 +562,12 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                 add_cost(total_cost)
 
             elif rank == HEALTH_ACTION:
-                hnet, events = by_id[ind_id].net, event.events
+                ind_id, events = h_individuals[entry], h_events[entry]
+                hnet = by_id[ind_id].net
                 enabled = [ev for ev in events
                            if health.is_enabled(hnet, markings[ind_id], ev)]
                 if not enabled:
-                    if event.optional:
+                    if h_optional[entry]:
                         result.skipped_actions += 1
                         continue
                     names = [hnet.events[ev].name for ev in events]
@@ -545,12 +579,14 @@ def cosimulate(net: DeliveryNet, initial: Marking,
                     raise AmbiguousHealthEventError(
                         f"several scheduled health events are enabled "
                         f"at once: {names}")
-                start_health_event(time, ind_id, enabled[0], event.outcome)
+                start_health_event(time, ind_id, enabled[0],
+                                   h_outcomes[entry])
 
             else:  # HEALTH_COMPLETION
-                hnet, ev = by_id[ind_id].net, event.event
+                ind_id, ev, column = entry
+                hnet = by_id[ind_id].net
                 markings[ind_id] = health.apply_completion(
-                    hnet, markings[ind_id], ev, event.column)
+                    hnet, markings[ind_id], ev, column)
                 add_time(time)
                 add_net(health_net[ind_id])
                 add_label(hnet.events[ev].name)
@@ -561,11 +597,11 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         except CareNetsError as exc:
             where, names = health_net[ind_id], by_id[ind_id].net.events
             if rank in (DELIVERY_COMPLETION, DELIVERY_START):
-                where, label = "delivery", labels[event.psi]
+                where, label = "delivery", labels[psi]
             elif rank == HEALTH_ACTION:
-                label = " | ".join(names[ev].name for ev in event.events)
+                label = " | ".join(names[ev].name for ev in events)
             else:
-                label = names[event.event].name
+                label = names[ev].name
             raise SimulationError(
                 f"at t={time}, {where} {label!r}, individual {ind_id!r}: "
                 f"{exc}", time=time, net=where, label=label,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coordination, health
 from .coordination import (DeliveryAction, HealthAction, Individual,
-                           RunResult, cosimulate)
+                           RunResult, Table, cosimulate)
 from .delivery import DeliveryNet, Marking
 from .errors import ScenarioError, ValidationError
 from .health import HealthEvent, HealthEventKind, HealthMarking, HealthNet
@@ -432,8 +432,9 @@ class CompiledScenario:
     initial: Marking
     individuals: tuple[Individual, ...]
     selector: np.ndarray
-    delivery_actions: tuple[DeliveryAction, ...]
-    health_actions: tuple[HealthAction, ...]
+    # the schedule, one tuple per field
+    delivery_actions: Table
+    health_actions: Table
 
     def run(self, mode: str = "replay", seed: int | None = 0) -> RunResult:
         return cosimulate(self.net, self.initial, self.individuals,
@@ -801,8 +802,15 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                 col.add(check, f"{section} names unknown individual "
                                f"{ind_id!r}")
 
-    delivery_actions = []
-    health_actions = []
+    # The schedule goes into columns of atoms, one per field, so no object
+    # is built per entry. Entries naming the same events share one tuple.
+    delivery_columns = tuple([] for _ in DeliveryAction._fields)
+    health_columns = tuple([] for _ in HealthAction._fields)
+    (add_delivery_time, add_psi, add_delivery_individual,
+     add_delivery_outcome) = (column.append for column in delivery_columns)
+    (add_health_time, add_health_individual, add_events, add_health_outcome,
+     add_optional) = (column.append for column in health_columns)
+    event_groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     last_time = None
     for i, entry in enumerate(data.get("schedule", [])):
         time = float(entry["time"])
@@ -843,8 +851,10 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                         f"schedule[{i}]: {key!r} realizes no health event, "
                         f"so it takes no outcome")
                 continue
-            delivery_actions.append(DeliveryAction(
-                time, dof_keys[key], entry["individual"], outcome))
+            add_delivery_time(time)
+            add_psi(dof_keys[key])
+            add_delivery_individual(entry["individual"])
+            add_delivery_outcome(outcome)
         elif "event" in entry and "event_group" in entry:
             col.add("schedule-references", f"schedule[{i}]: names both an "
                                            f"event and an event_group")
@@ -873,15 +883,19 @@ def _compile(doc: ScenarioDocument, col: _Collector) -> CompiledScenario | None:
                 else:
                     events.append(index)
             if ok:
-                health_actions.append(HealthAction(
-                    time, entry["individual"], tuple(events), outcome,
-                    entry.get("optional", False)))
+                events = tuple(events)
+                add_health_time(time)
+                add_health_individual(entry["individual"])
+                add_events(event_groups.setdefault(events, events))
+                add_health_outcome(outcome)
+                add_optional(entry.get("optional", False))
 
     if col:
         return None
-    return CompiledScenario(doc, model, net, initial, tuple(individuals),
-                            selector, tuple(delivery_actions),
-                            tuple(health_actions))
+    return CompiledScenario(
+        doc, model, net, initial, tuple(individuals), selector,
+        Table(DeliveryAction, map(tuple, delivery_columns)),
+        Table(HealthAction, map(tuple, health_columns)))
 
 
 # ---------------------------------------------------------------------------

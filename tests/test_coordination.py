@@ -930,7 +930,7 @@ def _shifted(compiled, stretch, squeezed, zeroed):
     factors = [0.0 if k in squeezed else f
                for k, f in enumerate(stretch[:len(actions)])]
     times = np.cumsum(gaps * factors)
-    shifted = [dataclasses.replace(action, time=float(t))
+    shifted = [action._replace(time=float(t))
                for action, t in zip(actions, times)]
     durations = compiled.net.durations.copy()
     durations[[psi for psi in zeroed if psi < len(durations)]] = 0.0
@@ -1066,6 +1066,14 @@ def _run_of(request, name):
     return request.getfixturevalue(name).run(mode="sample", seed=3)
 
 
+def _compiled_of(request, name):
+    """A compiled fixture, or the cohort of :func:`_run_of` compiled."""
+    if name == "cohort":
+        offsets = [k / 8 for k in range(50)]
+        return compile_scenario(load_scenario_data(chronic_clones(offsets)))
+    return request.getfixturevalue(name)
+
+
 @pytest.mark.parametrize("name", ["acute", "chronic", "cohort"])
 def test_run_columns_hold_no_object_the_collector_tracks(request, name):
     result = _run_of(request, name)
@@ -1075,13 +1083,36 @@ def test_run_columns_hold_no_object_the_collector_tracks(request, name):
         assert len({len(column) for column in table.columns}) == 1
         for column in table.columns:
             assert not any(map(gc.is_tracked, column))
+    # the compiled schedule: its columns are tuples, which every run shares
+    compiled = _compiled_of(request, name)
+    schedule = (compiled.delivery_actions, compiled.health_actions)
+    assert [len(table) for table in schedule] == [
+        {"acute": 30, "chronic": 23, "cohort": 1150}[name],
+        {"acute": 1, "chronic": 4, "cohort": 200}[name]]
+    groups = compiled.health_actions.column("events")
+    for table in schedule:
+        assert len({len(column) for column in table.columns}) == 1
+        for column in table.columns:
+            assert type(column) is tuple
+            if column is not groups:
+                assert not any(map(gc.is_tracked, column))
+    # Entries that name the same events share one tuple of ints. CPython
+    # tracks a new tuple until a collection first sees it and finds only
+    # atoms in it, so a young collection untracks every one.
+    assert len(set(map(id, groups))) == len(set(groups))
+    assert all(type(ev) is int for events in groups for ev in events)
+    gc.collect(0)
+    assert not any(map(gc.is_tracked, groups))
 
 
 @pytest.mark.parametrize("name", ["acute", "chronic", "cohort"])
 def test_run_tables_read_as_their_rows(request, name):
     result = _run_of(request, name)
+    compiled = _compiled_of(request, name)
     for table, row in ((result.trace, TraceRow),
-                       (result.delivery_trajectory, TrajectoryPoint)):
+                       (result.delivery_trajectory, TrajectoryPoint),
+                       (compiled.delivery_actions, DeliveryAction),
+                       (compiled.health_actions, HealthAction)):
         rows = [row(*values) for values in zip(*table.columns)]
         n = len(rows)
         assert len(table) == n
@@ -1106,3 +1137,32 @@ def test_run_tables_read_as_their_rows(request, name):
     again = _run_of(request, name)
     if name != "acute":  # a sampled acute run has arrays that differ
         assert result.trace == again.trace
+
+
+def test_trajectories_compare_by_value(chronic):
+    first, second = (chronic.run(mode="replay") for _ in range(2))
+    assert first.delivery_trajectory == second.delivery_trajectory
+    assert first.delivery_trajectory == list(second.delivery_trajectory)
+    tokens = second.delivery_trajectory.column("place_tokens")
+    tokens[5] = tokens[5].copy()
+    tokens[5][0] += 1
+    assert first.delivery_trajectory != second.delivery_trajectory
+    assert list(first.delivery_trajectory) != second.delivery_trajectory
+
+
+@pytest.mark.parametrize("mode", ["replay", "sample"])
+@pytest.mark.parametrize("name", ["acute", "chronic", "cohort"])
+def test_kernel_reads_tables_and_lists_of_rows_alike(request, name, mode):
+    compiled = _compiled_of(request, name)
+    tables, rows = (
+        cosimulate(compiled.net, compiled.initial, compiled.individuals,
+                   compiled.selector, delivery, health, mode=mode, seed=5)
+        for delivery, health in (
+            (compiled.delivery_actions, compiled.health_actions),
+            (list(compiled.delivery_actions),
+             list(compiled.health_actions))))
+    assert len(tables.trace) > len(compiled.delivery_actions)
+    assert tables.trace == rows.trace
+    assert tables.delivery_trajectory == rows.delivery_trajectory
+    assert tables.outcome_series == rows.outcome_series
+    assert tables.skipped_actions == rows.skipped_actions
