@@ -100,15 +100,6 @@ def system_firing(engagement: np.ndarray) -> np.ndarray:
     return np.asarray(engagement, dtype=int).sum(axis=1)
 
 
-def check_coupling(realized: np.ndarray, engaged: np.ndarray) -> None:
-    """Raise unless the realized counts Fᵀu_L equal the engaged counts
-    S·e, that is unless the coupling residual is 0."""
-    if not np.array_equal(realized, engaged):
-        raise SimulationError(
-            "induced firing vector does not reproduce the engaged "
-            "transformation counts")
-
-
 def induced_event(net: HealthNet, marking: HealthMarking, process: int,
                   candidates: Sequence[int]) -> int:
     """The one event among ``candidates``, the events transformation
@@ -142,7 +133,10 @@ def induce_health_firing(feasibility: np.ndarray, selector: np.ndarray,
     for j in np.nonzero(rhs)[0]:
         candidates = np.nonzero(feasibility[:, j])[0].tolist()
         u_l[induced_event(net, marking, int(j), candidates)] += int(rhs[j])
-    check_coupling(feasibility.T @ u_l, rhs)
+    if not np.array_equal(feasibility.T @ u_l, rhs):
+        raise SimulationError(
+            "induced firing vector does not reproduce the engaged "
+            "transformation counts")
     return u_l
 
 
@@ -321,14 +315,6 @@ class RunResult:
                 if kind != "start"]
 
 
-class HealthCompletion(NamedTuple):
-    """Completion of an in-flight health event along its output column."""
-
-    individual: str
-    event: int
-    column: np.ndarray
-
-
 #: The ranks that order the events sharing one instant, lowest first;
 #: events of one rank run in the order they were queued. Completions come
 #: before starts, so a token or unit of mass that a completion releases
@@ -482,7 +468,8 @@ def cosimulate(net: DeliveryNet, initial: Marking,
     marking = initial
     total_cost = 0.0
     # Completions in flight, (time, rank, seq, completion): a delivery
-    # completion is its action's position, a health one a HealthCompletion.
+    # completion is its action's position, a health one the tuple
+    # (individual, event, output column) it completes along.
     # Their sequence numbers follow every schedule position, so merging the
     # heap with the sorted schedule pops events in the order of one queue
     # holding both.
@@ -500,7 +487,7 @@ def cosimulate(net: DeliveryNet, initial: Marking,
         column = health.resolve_output(hnet, event, outcome=outcome, rng=rng)
         heappush(heap, (time + hnet.events[event].duration,
                         HEALTH_COMPLETION, next(seq),
-                        HealthCompletion(ind_id, event, column)))
+                        (ind_id, event, column)))
         add_time(time)
         add_net(health_net[ind_id])
         add_label(hnet.events[event].name)

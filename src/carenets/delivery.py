@@ -251,10 +251,8 @@ def state_equation(net: DeliveryNet, marking: Marking,
         raise ValidationError("firing vectors must have one entry per "
                               "transition")
 
-    # ndarray.argmin is a C method; min() and any() go through Python
-    # wrappers that cost more than the whole check on vectors this short.
     after_starts = marking.place_tokens - net.m_minus @ u_minus
-    if after_starts.size and after_starts[after_starts.argmin()] < 0:
+    if (after_starts < 0).any():
         place = int((after_starts < 0).argmax())
         labels = ", ".join(f"{psi} ({t.label})"
                            for psi, t in enumerate(net.transitions)
@@ -264,7 +262,7 @@ def state_equation(net: DeliveryNet, marking: Marking,
             f"{net.place_names[place]!r} has no token to consume")
 
     after_completes = marking.busy_tokens - u_plus
-    if after_completes.size and after_completes[after_completes.argmin()] < 0:
+    if (after_completes < 0).any():
         psi = int((after_completes < 0).argmax())
         raise NotEnabledError(
             f"completion without start: transition {psi} "

@@ -920,9 +920,7 @@ def load_scenario_data(data: Any) -> ScenarioDocument:
         col.skip(_after("schema"))
         raise col.error()
     doc = ScenarioDocument(data)
-    _compile(doc, col)
-    if col:
-        raise col.error()
+    compile_scenario(doc)
     return doc
 
 
