@@ -233,7 +233,20 @@ def _shown(value) -> str:
         return "a list"
     if value is None or isinstance(value, bool):
         return {None: "null", True: "true", False: "false"}[value]
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:  # an int past Python's limit on digits it prints
+        return f"an integer of {_digits(value)} digits"
+
+
+def _digits(value: int) -> int:
+    """How many decimal digits ``value`` has, counted without printing
+    it: from an estimate no larger than the count, up."""
+    magnitude = abs(value)
+    digits = max(1, int(magnitude.bit_length() * math.log10(2)) - 1)
+    while magnitude >= 10 ** digits:
+        digits += 1
+    return digits
 
 
 def _expected(col: _Collector, path, what: str, value) -> None:
@@ -928,7 +941,9 @@ def load_scenario(path: str | Path) -> ScenarioDocument:
     """Read, parse, schema-check and compile a scenario file.
 
     Raises :class:`ScenarioError` carrying every failure found, or a
-    parse failure with its line and column.
+    parse failure naming the file: with its line and column for a syntax
+    error, and also for arrays nested too deeply or an integer literal
+    with too many digits.
     """
     def failed(message: str) -> ScenarioError:
         return ScenarioError([("parse", message)], _after("parse"))
@@ -944,6 +959,12 @@ def load_scenario(path: str | Path) -> ScenarioDocument:
     except json.JSONDecodeError as exc:
         raise failed(f"{path}: line {exc.lineno} column {exc.colno}: "
                      f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise failed(f"{path}: arrays or objects nest too deeply to "
+                     f"parse") from exc
+    except ValueError as exc:  # an int past Python's limit on digits
+        raise failed(f"{path}: an integer literal has too many digits to "
+                     f"parse") from exc
     return load_scenario_data(data)
 
 

@@ -32,6 +32,42 @@ class TestValidateCommand:
         assert "FAIL  knowledge-block-mask" in capsys.readouterr().out
 
 
+# Documents that json.loads cannot read: (text, message, the checks that
+# may fail). Python releases before 3.10.7 have no limit on the digits of
+# an int, so there the long literal parses and fails the schema.
+UNPARSABLE = {
+    "deep-nesting": ("[" * 200_000 + "]" * 200_000,
+                     "arrays or objects nest too deeply to parse",
+                     ("parse",)),
+    "long-integer": ('{"schema_version": ' + "1" * 5001 + "}",
+                     "an integer literal has too many digits to parse",
+                     ("parse", "schema")),
+}
+
+
+@pytest.mark.parametrize("text, message, checks", UNPARSABLE.values(),
+                         ids=UNPARSABLE.keys())
+def test_unparsable_document_fails_without_traceback(tmp_path, capsys, text,
+                                                     message, checks):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL  ")]
+    assert failed[0] in [f"FAIL  {check}" for check in checks]
+    unparsed = failed[0] == "FAIL  parse"
+    if unparsed:
+        assert lines[:2] == ["FAIL  parse", f"      {path}: {message}"]
+    out = tmp_path / "out"
+    for command in (["dof", str(path)],
+                    ["simulate", str(path), "--out", str(out)]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not unparsed or f"[parse] {path}: {message}" in err
+    assert not out.exists()
+
+
 class TestDofCommand:
     def test_acute_listing(self, capsys):
         assert main(["dof", str(ACUTE)]) == 0

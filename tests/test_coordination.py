@@ -18,8 +18,8 @@ from carenets.coordination import (DeliveryAction, HealthAction, Individual,
                                    process_table, system_firing)
 from carenets.delivery import DeliveryNet, Marking, TrajectoryPoint
 from carenets.errors import (AmbiguousHealthEventError, CapacityError,
-                             InfeasibleCareActionError, SimulationError,
-                             ValidationError)
+                             InfeasibleCareActionError, NotEnabledError,
+                             SimulationError, ValidationError)
 from carenets.health import (HealthEvent, HealthEventKind, HealthMarking,
                              HealthNet)
 from carenets.scenario import compile_scenario, load_scenario_data
@@ -662,6 +662,28 @@ class TestCosimulate:
                        [HealthAction(1.0, "p1", (0, 1))])
         assert isinstance(err.value.__cause__, AmbiguousHealthEventError)
         assert err.value.label == "to x | to y"
+
+    def test_failure_at_a_health_completion_names_the_event(self,
+                                                            monkeypatch):
+        # no input the entry checks accept fails at a health completion,
+        # so the completion is made to fail
+        def refused(*args):
+            raise NotEnabledError("no mass in flight")
+
+        monkeypatch.setattr(health, "apply_completion", refused)
+        _, net, individual, selector, initial, dofs = cosim_setup()
+        sick = HealthMarking.point(individual.net, "condition x")
+        in_clinic = Marking.initial(net, [1, 0])
+        with pytest.raises(SimulationError) as err:
+            cosimulate(net, in_clinic,
+                       [dataclasses.replace(individual, initial=sick)],
+                       selector, [DeliveryAction(2.0, dofs["therapy"], "p1")])
+        assert str(err.value) == ("at t=3.0, health:p1 'therapy for x', "
+                                  "individual 'p1': no mass in flight")
+        assert (err.value.time, err.value.net, err.value.label,
+                err.value.individual) == (3.0, "health:p1", "therapy for x",
+                                          "p1")
+        assert isinstance(err.value.__cause__, NotEnabledError)
 
     def test_schedule_without_transformation_processes(self):
         model = StructuralModel.build([Resource("lab", M)],

@@ -85,6 +85,29 @@ class TestLoading:
             load_scenario(bad)
         assert "line" in str(err.value) and "column" in str(err.value)
 
+    def test_deep_nesting_is_a_parse_failure(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert err.value.failures == [
+            ("parse", f"{path}: arrays or objects nest too deeply to parse")]
+
+    def test_integer_past_the_digit_limit_is_a_parse_failure(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"schema_version": ' + "1" * 5001 + "}",
+                        encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        # Python releases before 3.10.7 have no limit on the digits of an
+        # int, so there the literal parses and the schema rejects it
+        checks = {check for check, _ in err.value.failures}
+        assert checks in ({"parse"}, {"schema"})
+        if checks == {"parse"}:
+            assert err.value.failures == [
+                ("parse", f"{path}: an integer literal has too many digits "
+                          f"to parse")]
+
     def test_unknown_keys_flagged(self):
         data = chronic_data()
         data["surprise"] = 1
@@ -500,6 +523,10 @@ MESSAGES = {
                "schedule[0].time: expected a finite number >= 0, got -1"),
     "one-of": (_set(("resources", 0, "class"), "wizard"),
                f"resources[0].class: expected one of {_CLASSES}"),
+    # an int too large for a float is not a finite number
+    "int-past-the-floats": (_set(("schedule", 0, "time"), 10 ** 400),
+                            f"schedule[0].time: expected a finite number "
+                            f">= 0, got 1{'0' * 400}"),
     "list": (_set(("notes",), 7), "notes: expected a list, got 7"),
     "list-item": (_set(("individuals", 0, "health_states", 1), None),
                   "individuals[0].health_states[1]: expected a string, "
@@ -573,6 +600,19 @@ def test_schema_message(mutate, message):
     if replaced is not None:
         data = replaced
     assert failures_of(data) == [("schema", message)]
+
+
+def test_integer_too_long_to_print_is_named_by_its_length():
+    # Python 3.10.7 and later refuse to print an int of more than 4,300
+    # digits by default, so the message names how many it has; earlier
+    # releases print it
+    data = chronic_data()
+    data["schedule"][0]["time"] = 10 ** 5000
+    ((check, message),) = failures_of(data)
+    head, _, shown = message.partition(" got ")
+    assert (check, head) == ("schema", "schedule[0].time: expected a finite "
+                                       "number >= 0,")
+    assert shown in ("an integer of 5001 digits", "1" + "0" * 5000)
 
 
 def _aggregated(outside, clinic):
