@@ -941,8 +941,8 @@ def load_scenario(path: str | Path) -> ScenarioDocument:
     """Read, parse, schema-check and compile a scenario file.
 
     Raises :class:`ScenarioError` carrying every failure found, or a
-    parse failure naming the file: with its line and column for a syntax
-    error, and also for arrays nested too deeply or an integer literal
+    parse failure naming the file: a syntax error with its line and
+    column, arrays or objects nested too deeply, or an integer literal
     with too many digits.
     """
     def failed(message: str) -> ScenarioError:
